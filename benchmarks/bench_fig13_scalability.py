@@ -32,7 +32,7 @@ from benchmarks._common import (
     write_trajectory,
 )
 from repro.core import DetectorConfig
-from repro.exec import ProcessExecutor
+from repro.exec import WarmProcessExecutor
 from repro.workloads import MICROBENCHMARKS
 
 TX_COUNTS = [1, 5, 10, 20, 30]
@@ -79,7 +79,7 @@ def _strip_timings(report):
     return data
 
 
-#: Batch widths swept at the parallel peak (jobs=4), warm and cold.
+#: Batch widths swept at the parallel peak (jobs=4) on the warm pool.
 BATCH_SWEEP = [1, 4, 16]
 
 
@@ -87,26 +87,27 @@ def test_fig13_jobs_sweep(benchmark):
     """Parallel post-failure execution at the Figure-13 peak.
 
     Runs hashmap_tx at the largest transaction count under every pool
-    width, then sweeps batch_size x {warm, cold} at jobs=4, asserting
+    width, then sweeps batch_size on the warm pool at jobs=4, asserting
     every parallel report bit-identical to serial and recording the
     speedup trajectory.  Every row carries the machine's ``cpu_count``
     as provenance; widths the machine cannot deliver
-    (``cpu_count < jobs``) are recorded as skipped-with-note rather
-    than measured as bogus slowdowns.  The ``jobs/2`` floor (2.0x at
-    jobs=4) is asserted only for the warm pool on machines with the
-    cores to deliver it; a single-core runner asserts the trivial
-    ``>= 1.0`` on its serial row, so the trajectory stays honest
-    everywhere.
+    (``cpu_count < jobs``, or no ``fork`` start method) are recorded as
+    skipped-with-note rather than measured as bogus slowdowns.  The
+    ``jobs/2`` floor (2.0x at jobs=4) is asserted only on machines
+    with the cores to deliver it; a single-core runner asserts the
+    trivial ``>= 1.0`` on its serial row, so the trajectory stays
+    honest everywhere.
     """
     workload_cls = MICROBENCHMARKS["hashmap_tx"]
     tx_count = TX_COUNTS[-1]
-    executor = "process" if ProcessExecutor.available() else "thread"
+    has_fork = WarmProcessExecutor.available()
     cpu_count = os.cpu_count() or 1
     rows = []
     speedups = {}
 
     def row(jobs, mode, batch_size, elapsed=None, speedup=None,
             note=""):
+        executor = "serial" if mode == "serial" else "process"
         return [
             "hashmap_tx", tx_count, jobs, executor, mode,
             batch_size if batch_size is not None else "-", cpu_count,
@@ -152,18 +153,19 @@ def test_fig13_jobs_sweep(benchmark):
     def sweep_leg(jobs, mode, batch_size, config_kwargs):
         """One parallel leg: skip-with-note when the machine cannot
         deliver the width, else measure and assert determinism."""
-        if cpu_count < jobs:
-            rows.append(row(
-                jobs, mode, batch_size,
-                note=f"skipped: cpu_count={cpu_count} < jobs={jobs}",
-            ))
+        if not has_fork or cpu_count < jobs:
+            note = (
+                f"skipped: cpu_count={cpu_count} < jobs={jobs}"
+                if has_fork else "skipped: no fork start method"
+            )
+            rows.append(row(jobs, mode, batch_size, note=note))
             return None
         elapsed, report = timed(DetectorConfig(
-            jobs=jobs, executor=executor, **config_kwargs
+            jobs=jobs, **config_kwargs
         ))
         assert _strip_timings(report) == reference, (
             f"report differs at jobs={jobs} {mode} "
-            f"batch_size={batch_size} ({executor})"
+            f"batch_size={batch_size}"
         )
         speedup = serial_time / elapsed
         rows.append(row(jobs, mode, batch_size, elapsed, speedup))
@@ -174,21 +176,17 @@ def test_fig13_jobs_sweep(benchmark):
         if speedup is not None:
             speedups[jobs] = speedup
 
-    batch_rows = {}
-    for batch_size in BATCH_SWEEP:
-        for mode in ("warm", "cold"):
-            batch_rows[(mode, batch_size)] = sweep_leg(
-                4, mode, batch_size,
-                {"batch_size": batch_size,
-                 "warm_pool": mode == "warm"},
-            )
+    batch_rows = {
+        batch_size: sweep_leg(
+            4, "warm", batch_size, {"batch_size": batch_size}
+        )
+        for batch_size in BATCH_SWEEP
+    }
 
     benchmark.pedantic(
         lambda: run_detection(
             workload_cls(test_size=tx_count),
-            DetectorConfig(
-                jobs=min(4, cpu_count), executor=executor
-            ),
+            DetectorConfig(jobs=min(4, cpu_count)),
         ),
         rounds=1, iterations=1,
     )
@@ -218,7 +216,7 @@ def test_fig13_jobs_sweep(benchmark):
         summary={
             "workload": "hashmap_tx",
             "transactions": tx_count,
-            "executor": executor,
+            "executor": "process" if has_fork else "serial",
             "cpu_count": cpu_count,
             "serial_time_s": round(serial_time, 3),
             "serial_events_per_s": serial_events_per_s,
@@ -229,11 +227,11 @@ def test_fig13_jobs_sweep(benchmark):
                 round(speedups[8], 3) if 8 in speedups else "skipped"
             ),
             "batch_sweep_jobs4": {
-                f"{mode}_b{batch_size}": (
+                f"warm_b{batch_size}": (
                     round(speedup, 3) if speedup is not None
                     else "skipped"
                 )
-                for (mode, batch_size), speedup in batch_rows.items()
+                for batch_size, speedup in batch_rows.items()
             },
         },
     )

@@ -900,7 +900,6 @@ def analyze_mechanisms_workload(workload, config=None):
         config = DetectorConfig(
             inject_failures=False,
             dedup=False,
-            replay_memo=False,
             progress=False,
         )
     result = Frontend(config).run(workload)

@@ -120,12 +120,9 @@ def _build_parser():
                           "transaction epochs (default: exhaustive)")
     run.add_argument("--jobs", type=int, default=None, metavar="N",
                      help="fan post-failure executions and replays "
-                          "out over N workers (default: XFD_JOBS or "
-                          "1; reports are identical at any width)")
-    run.add_argument("--executor", default=None,
-                     choices=("auto", "serial", "thread", "process"),
-                     help="worker-pool kind for --jobs (default: "
-                          "XFD_EXECUTOR or auto)")
+                          "out over a warm pool of N worker processes "
+                          "(default: XFD_JOBS or 1 = serial; reports "
+                          "are identical at any width)")
     run.add_argument("--batch-size", type=int, default=None,
                      metavar="N",
                      help="failure points per worker dispatch: "
@@ -133,13 +130,6 @@ def _build_parser():
                           "amortizes and the replay-prefix memo "
                           "advances across the whole batch (default: "
                           "XFD_BATCH_SIZE or 8; 1 disables batching)")
-    run.add_argument("--warm-pool", dest="warm_pool", default=None,
-                     action=argparse.BooleanOptionalAction,
-                     help="keep one persistent process pool alive "
-                          "across phases, with pool images published "
-                          "via shared memory (default: XFD_WARM_POOL "
-                          "or on; --no-warm-pool forks a fresh pool "
-                          "per phase)")
     run.add_argument("--deadline", type=float, default=None,
                      metavar="SECONDS",
                      help="wall-clock budget per post-failure "
@@ -322,9 +312,6 @@ def _build_parser():
                             "process pool alive across jobs)")
     serve.add_argument("--batch-size", type=int, default=8,
                        help="failure points per warm-pool dispatch")
-    serve.add_argument("--no-warm-pool", action="store_true",
-                       help="serial executors inside fleet workers "
-                            "even when --shard-jobs > 1")
     serve.add_argument("--heartbeat-timeout", type=float, default=10.0,
                        help="seconds without a shard heartbeat before "
                             "the reaper reclaims it")
@@ -426,12 +413,8 @@ def _cmd_run(args):
     overrides = {}
     if args.jobs is not None:
         overrides["jobs"] = max(1, args.jobs)
-    if args.executor is not None:
-        overrides["executor"] = args.executor
     if args.batch_size is not None:
         overrides["batch_size"] = max(1, args.batch_size)
-    if args.warm_pool is not None:
-        overrides["warm_pool"] = args.warm_pool
     if args.deadline is not None:
         overrides["exec_deadline"] = (
             args.deadline if args.deadline > 0 else None
@@ -444,7 +427,6 @@ def _cmd_run(args):
         overrides["resume"] = args.resume
     if args.no_dedup:
         overrides["dedup"] = False
-        overrides["replay_memo"] = False
     if args.events is not None:
         overrides["events"] = args.events
     if args.prom_textfile is not None:
@@ -983,7 +965,6 @@ def _cmd_serve(args):
             workers=max(1, args.workers),
             shard_jobs=max(1, args.shard_jobs),
             batch_size=max(1, args.batch_size),
-            warm_pool=not args.no_warm_pool,
         ),
         reaper=Reaper(
             heartbeat_timeout=args.heartbeat_timeout,

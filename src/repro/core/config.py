@@ -23,14 +23,6 @@ def _default_jobs():
     return max(1, jobs)
 
 
-def _default_executor():
-    """Executor kind: the ``XFD_EXECUTOR`` env var, default ``auto``."""
-    raw = os.environ.get("XFD_EXECUTOR", "").strip().lower()
-    if raw in ("serial", "thread", "process", "auto"):
-        return raw
-    return "auto"
-
-
 def _default_deadline():
     """Per-execution wall budget in seconds: the ``XFD_DEADLINE`` env
     var, default None (no deadline).  Invalid or non-positive values
@@ -45,8 +37,8 @@ def _default_deadline():
 
 def _default_batch_size():
     """Failure points per dispatch: the ``XFD_BATCH_SIZE`` env var,
-    default 8.  Invalid or non-positive values degrade to 1 (no
-    batching) — an ops knob, not an API."""
+    default 8.  Unparsable values keep the default 8; non-positive
+    values degrade to 1 (no batching) — an ops knob, not an API."""
     raw = os.environ.get("XFD_BATCH_SIZE", "").strip()
     if not raw:
         return 8
@@ -55,14 +47,6 @@ def _default_batch_size():
     except ValueError:
         return 8
     return max(1, size)
-
-
-def _default_warm_pool():
-    """Warm persistent worker pool switch: the ``XFD_WARM_POOL`` env
-    var, default on.  Only explicit ``0/false/off/no`` disable —
-    mirrors the CLI's ``--no-warm-pool``."""
-    raw = os.environ.get("XFD_WARM_POOL", "").strip().lower()
-    return raw not in ("0", "false", "off", "no")
 
 
 def _default_dedup():
@@ -190,48 +174,32 @@ class DetectorConfig:
 
     #: Worker-pool width for the post-failure execution and replay
     #: phases (``repro.exec``).  1 (the default) runs the serial
-    #: reference schedule; reports are byte-identical at any width.
-    #: Overridable via the ``XFD_JOBS`` env var.
+    #: reference schedule; more runs the warm fork-process pool (see
+    #: ``repro.exec.resolve_executor``).  Reports are byte-identical
+    #: at any width.  Overridable via the ``XFD_JOBS`` env var.
     jobs: int = field(default_factory=_default_jobs)
-
-    #: Executor kind: "auto" (process when fork is available, else
-    #: thread), "serial", "thread", or "process".  Overridable via the
-    #: ``XFD_EXECUTOR`` env var.  Audit and fail-fast runs always use
-    #: the serial executor regardless of this setting.
-    executor: str = field(default_factory=_default_executor)
 
     #: Failure points per pool dispatch (``repro.exec``): contiguous
     #: keys are grouped so a worker's replay-prefix memo cursor
     #: advances in O(divergence) across the whole batch and per-task
-    #: IPC amortizes.  1 = dispatch each point alone (PR-3 behavior).
-    #: Overridable via the ``XFD_BATCH_SIZE`` env var.
+    #: IPC amortizes.  1 = dispatch each point alone.  Overridable via
+    #: the ``XFD_BATCH_SIZE`` env var.
     batch_size: int = field(default_factory=_default_batch_size)
-
-    #: Keep one persistent fork-process pool alive across phases
-    #: instead of forking a fresh pool per phase, with pool images
-    #: published through ``multiprocessing.shared_memory`` so workers
-    #: attach zero-copy.  Only affects the process executor.
-    #: Overridable via the ``XFD_WARM_POOL`` env var; CLI
-    #: ``--warm-pool/--no-warm-pool``.
-    warm_pool: bool = field(default_factory=_default_warm_pool)
 
     #: Crash-state deduplication (``repro.dedup``): fingerprint every
     #: failure point's crash image incrementally, run only one
     #: post-failure execution/replay per equivalence class, and clone
     #: the findings onto the other members with per-member provenance.
-    #: Reports stay content-identical to a dedup-off run modulo the
+    #: It also turns on replay-prefix memoization: per-worker rolling
+    #: crash-image buffers advanced by per-failure-point deltas
+    #: (O(delta) instead of O(pool) image work per post-failure task),
+    #: and shadow checkpoints captured only at failure points with
+    #: live replays (skipped ones are rebuilt on demand).  Reports
+    #: stay content-identical to a dedup-off run modulo the
     #: skipped-work counters.  CLI ``run --no-dedup`` / env
     #: ``XFD_DEDUP=0`` disable it (needed only when a workload's
     #: recovery is deliberately non-deterministic).
     dedup: bool = field(default_factory=_default_dedup)
-
-    #: Replay-prefix memoization: per-worker rolling crash-image
-    #: buffers advanced by per-failure-point deltas (O(delta) instead
-    #: of O(pool) image work per post-failure task), and shadow
-    #: checkpoints captured only at failure points with live replays
-    #: (skipped ones are rebuilt on demand).  Same escape hatches as
-    #: ``dedup``.
-    replay_memo: bool = field(default_factory=_default_dedup)
 
     #: Record every shadow-PM persistence/consistency FSM transition in
     #: an audit log (``repro.obs.AuditLog``) with address range,
@@ -275,7 +243,7 @@ class DetectorConfig:
     exec_step_budget: int | None = None
 
     #: Retry budget for *transient* task faults (worker deaths): a key
-    #: is retried on a fresh pool up to this many times before being
+    #: is retried on a fresh worker up to this many times before being
     #: quarantined.  Deterministic faults (harness errors, deadline
     #: hangs) are quarantined after the first attempt regardless.
     max_retries: int = 2

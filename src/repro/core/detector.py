@@ -10,7 +10,11 @@ from repro.core.frontend import Frontend
 from repro.core.replay import StopAnalysis, TraceReplayer, lower_trace
 from repro.core.report import Bug, BugKind, DetectionReport
 from repro.core.shadow import ShadowCheckpointCache, ShadowPM
-from repro.exec.base import TaskOutcome, resolve_executor
+from repro.exec.base import (
+    SerialExecutor,
+    graft_outcomes,
+    resolve_executor,
+)
 from repro.exec.worker import (
     ReplayPhaseContext,
     run_replay_task,
@@ -288,7 +292,6 @@ class XFDetector:
         tel = self.telemetry
         stats = report.stats
         dedup_on = getattr(self.config, "dedup", False)
-        memo_on = getattr(self.config, "replay_memo", False)
 
         # The pre-failure trace is lowered into a compiled replay
         # program exactly once; the marker scan below, the pre-replay,
@@ -357,7 +360,7 @@ class XFDetector:
                 if code == _FP_CODE:
                     fid = int(info)
                     insert_at[fid] = len(report.bugs)
-                    need_live = not (dedup_on and memo_on)
+                    need_live = not dedup_on
                     digests = {}
                     for task_index in runs_at.get(fid, ()):
                         run = tasks[task_index]
@@ -503,17 +506,14 @@ class XFDetector:
                 "post_replay", self.config, incident_log, resilience,
                 tel,
             )
-            if executor is not None and executor.kind != "serial":
-                ctx = ReplayPhaseContext(
-                    strip_config(self.config), checkpoints, runs_map,
-                    resilience,
-                )
-                submit = self._replay_submit_pool(executor, ctx)
-            else:
-                ctx = ReplayPhaseContext(
-                    self.config, checkpoints, runs_map, resilience
-                )
-                submit = self._replay_submit_serial(ctx)
+            ctx = ReplayPhaseContext(
+                strip_config(self.config), checkpoints, runs_map,
+                resilience,
+            )
+            submit = self._replay_submit(
+                executor if executor is not None else SerialExecutor(),
+                ctx,
+            )
             completed = supervisor.run(submit, live_keys)
             if clone_of:
                 # A quarantined source replay speaks for nobody: its
@@ -571,42 +571,19 @@ class XFDetector:
             replays_deduped += 1
         return results, replays_deduped
 
-    def _replay_submit_serial(self, ctx):
-        """Inline replay; each task records its own ``post_replay``
-        span tree (fork/replay children) and it is grafted here."""
-        tel = self.telemetry
-
-        def submit(wave):
-            outcomes = []
-            for key in wave:
-                try:
-                    value = run_replay_task(ctx, key)
-                except Exception as exc:
-                    outcomes.append(TaskOutcome(None, error=exc))
-                else:
-                    tel.spans.graft(value.spans)
-                    tel.metrics.merge(value.metrics)
-                    outcomes.append(TaskOutcome(value))
-            return outcomes
-
-        return submit
-
-    def _replay_submit_pool(self, executor, ctx):
-        """Fan replay out over a pool; merge worker-local telemetry
-        for completed tasks only (a retried task merges once) and
-        graft each shipped span tree, tagged with its worker."""
+    def _replay_submit(self, executor, ctx):
+        """A supervisor submit callable: run one replay wave on
+        ``executor``, graft each completed task's ``post_replay`` span
+        tree (fork/replay children), and merge its task-local metrics
+        — completed tasks only, so a retried task merges once."""
         tel = self.telemetry
 
         def submit(wave):
             outcomes = executor.run_phase(ctx, run_replay_task, wave)
-            wait_timer = tel.metrics.timer("exec.queue_wait_seconds")
+            graft_outcomes(tel, outcomes)
             for outcome in outcomes:
-                value = outcome.value
-                if value is None:
-                    continue
-                tel.spans.graft(value.spans, worker=outcome.worker)
-                wait_timer.observe(outcome.queue_wait)
-                tel.metrics.merge(value.metrics)
+                if outcome.value is not None:
+                    tel.metrics.merge(outcome.value.metrics)
             return outcomes
 
         return submit

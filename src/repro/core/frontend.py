@@ -13,8 +13,8 @@ The post-failure executions are mutually independent, so the stage is
 *planned* first — a canonical list of ``(fid, variant, mask)`` task
 keys — and then fanned out over a ``repro.exec`` executor.  Results are
 consumed in key order, so the produced ``PostRun`` list (and therefore
-the report) is identical whether the tasks ran serially, on a thread
-pool, or on a forked process pool.
+the report) is identical whether the tasks ran serially or on the warm
+process pool.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from repro.core.injector import FailureInjector
 from repro.core.interface import DetectionComplete, XFInterface
 from repro.errors import CrashSummary, DetectorError, PostFailureCrash
-from repro.exec.base import TaskOutcome, resolve_executor
+from repro.exec.base import graft_outcomes, resolve_executor
 from repro.exec.worker import (
     PostPhaseContext,
     PostTaskOutcome,
@@ -409,9 +409,9 @@ class Frontend:
     def _post_stage(self, workload, injector, uses_roi, journal=None):
         """Run every planned post-failure execution on an executor.
 
-        The serial executor runs tasks inline under real ``post_run``
-        spans; pool executors fan them out and the worker-measured
-        durations are attached as back-dated spans.  A
+        Each task records its own ``post_run`` span tree and the
+        submit callable grafts it into the run profile (tagged with the
+        worker when a pool ran it).  A
         :class:`PhaseSupervisor` drives the submissions, so harness
         faults quarantine individual keys instead of aborting the
         stage, and points completed by a resume journal are spliced in
@@ -473,10 +473,7 @@ class Frontend:
                 resilience, tel,
             )
             try:
-                if executor.kind == "serial":
-                    submit = self._submit_serial(ctx)
-                else:
-                    submit = self._submit_pool(executor, ctx)
+                submit = self._submit(executor, ctx)
                 exec_keys = keys if index is None else index.rep_keys()
                 completed = supervisor.run(submit, exec_keys)
                 if index is not None:
@@ -583,45 +580,16 @@ class Frontend:
         tel.emit("phase_finished", phase="post_exec")
         return post_runs, post_seconds, deduped_count, dedup_classes
 
-    def _submit_serial(self, ctx):
-        """A supervisor submit callable running tasks inline.
-
-        The task body records its own ``post_run`` span tree
-        (materialize/recovery children); grafting it keeps the serial
-        profile shape test_observability asserts, with ``seconds``
-        equal to the grafted root's duration by construction."""
-        tel = self.telemetry
-
-        def submit(wave):
-            outcomes = []
-            for key in wave:
-                try:
-                    value = run_post_task(ctx, key)
-                except Exception as exc:
-                    outcomes.append(TaskOutcome(None, error=exc))
-                else:
-                    tel.spans.graft(value.spans)
-                    outcomes.append(TaskOutcome(value))
-            return outcomes
-
-        return submit
-
-    def _submit_pool(self, executor, ctx):
-        """A supervisor submit callable fanning tasks out over a pool
-        executor; each completed task ships its span tree back in the
-        outcome and it is grafted here, tagged with the worker that
-        ran it — pool runs profile exactly like serial ones."""
+    def _submit(self, executor, ctx):
+        """A supervisor submit callable: run one wave on ``executor``
+        and graft each completed task's span tree (a ``post_run`` root
+        with materialize/recovery children) into the run profile, so
+        pool runs profile exactly like serial ones."""
         tel = self.telemetry
 
         def submit(wave):
             outcomes = executor.run_phase(ctx, run_post_task, wave)
-            wait_timer = tel.metrics.timer("exec.queue_wait_seconds")
-            for outcome in outcomes:
-                value = outcome.value
-                if value is None:
-                    continue
-                tel.spans.graft(value.spans, worker=outcome.worker)
-                wait_timer.observe(outcome.queue_wait)
+            graft_outcomes(tel, outcomes)
             return outcomes
 
         return submit

@@ -129,16 +129,10 @@ class FailureInjector:
 
     # -- trace observer ------------------------------------------------
 
-    def on_event(self, event):
-        if event.touches_pm_data():
-            self._ops_pending = True
-            if self.prune_plan is not None \
-                    and not self.prune_plan.certifies(event.ip):
-                self._uncertified_pending = True
-
     def on_op(self, kind_code, addr, size, info, ip, tid):
-        """Columnar fast path: same decision as :meth:`on_event`
-        without an event object (see ``PersistentMemory.add_observer``)."""
+        """Note a pending PM data operation (and whether its call site
+        is statically certified); see
+        ``PersistentMemory.add_observer``."""
         if kind_code in PM_DATA_CODES:
             self._ops_pending = True
             if self.prune_plan is not None:

@@ -22,8 +22,8 @@ replay findings.  This package removes that redundancy in three layers:
   crash-image buffer advanced by per-failure-point deltas, replacing
   the O(pool) materialize-and-copy per post-failure task with O(delta).
 
-Everything is gated by ``DetectorConfig.dedup`` / ``replay_memo``
-(CLI ``run --no-dedup``, env ``XFD_DEDUP=0``); reports with dedup on
+Everything is gated by ``DetectorConfig.dedup`` (CLI
+``run --no-dedup``, env ``XFD_DEDUP=0``); reports with dedup on
 are content-identical to an undeduplicated run modulo the
 skipped-work counters (``post_runs_deduped``, ``replays_deduped``).
 """

@@ -3,24 +3,20 @@
 The detection pipeline's cost is dominated by the O(F · P)
 post-failure work (paper Section 5.4, Figure 13): one post-failure
 execution and one post-failure replay per failure point, all mutually
-independent.  This package fans both phases out across a pluggable
-worker pool:
+independent.  This package runs both phases on one of two executors,
+chosen by :func:`~repro.exec.base.resolve_executor` from ``jobs``:
 
 * :class:`~repro.exec.base.SerialExecutor` — in-process, the default
-  and the reference schedule (``jobs=1``, audit, or ``fail_fast``);
-* :class:`~repro.exec.pool.ThreadExecutor` — a thread pool; no
-  CPU-bound speedup under the GIL but exercises the parallel result
-  plumbing everywhere;
-* :class:`~repro.exec.pool.ProcessExecutor` — a cold fork-based
-  process pool (fresh per phase); phase contexts travel to children by
-  fork inheritance, task keys and results cross via pickle;
-* :class:`~repro.exec.pool.WarmProcessExecutor` — the default process
-  executor: workers spawned once per run and kept alive across phases,
-  snapshot stores published through ``multiprocessing.shared_memory``
-  (:mod:`repro.exec.shm`) so workers attach zero-copy, and failure
-  points dispatched in contiguous batches
-  (:func:`~repro.exec.base.plan_batches`) so each worker's
-  ``repro.dedup.ImageMemo`` cursor amortizes across the batch.
+  and the reference schedule (``jobs=1``, audit, ``fail_fast``, or no
+  ``fork`` start method);
+* :class:`~repro.exec.pool.WarmProcessExecutor` — workers forked once
+  per run and kept alive across phases, snapshot stores published
+  through ``multiprocessing.shared_memory`` (:mod:`repro.exec.shm`) so
+  workers attach zero-copy, and failure points dispatched in
+  contiguous batches (:func:`~repro.exec.base.plan_batches`) so each
+  worker's ``repro.dedup.ImageMemo`` cursor amortizes across the
+  batch.  A phase that will not pickle runs inline on the serial
+  schedule.
 
 Task keys are issued in canonical ``(fid, variant)`` order and results
 are consumed in submission order, so reports and metrics are identical
@@ -33,17 +29,11 @@ from repro.exec.base import (
     plan_batches,
     resolve_executor,
 )
-from repro.exec.pool import (
-    ProcessExecutor,
-    ThreadExecutor,
-    WarmProcessExecutor,
-)
+from repro.exec.pool import WarmProcessExecutor
 
 __all__ = [
-    "ProcessExecutor",
     "SerialExecutor",
     "TaskOutcome",
-    "ThreadExecutor",
     "WarmProcessExecutor",
     "plan_batches",
     "resolve_executor",

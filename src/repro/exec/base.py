@@ -9,8 +9,6 @@ executors.
 
 from __future__ import annotations
 
-EXECUTOR_KINDS = ("auto", "serial", "thread", "process")
-
 
 class TaskOutcome:
     """One task's result plus scheduling telemetry.
@@ -28,7 +26,8 @@ class TaskOutcome:
         self.value = value
         #: Seconds between submission and a worker picking the task up.
         self.queue_wait = queue_wait
-        #: Label of the worker that ran the task (thread name / pid).
+        #: Label of the worker that ran the task: ``"main"`` inline,
+        #: ``pid-N`` in the warm pool.
         self.worker = worker
         #: The exception the task raised, or None on success.
         self.error = error
@@ -84,48 +83,57 @@ class SerialExecutor:
         pass
 
 
-def resolve_executor(config, telemetry=None):
-    """The executor for one detection run, from ``config.jobs`` /
-    ``config.executor``.
+def graft_outcomes(telemetry, outcomes):
+    """Graft the span trees that completed tasks shipped back into the
+    run's profile.
 
-    Serial is forced when ``jobs <= 1`` and for two configurations
-    whose semantics are inherently sequential: ``audit`` (the audit
-    log and span tree record the in-process schedule) and
-    ``fail_fast`` (the backend stops mid-schedule at the first
-    cross-failure bug).  ``auto`` prefers processes (real CPU
-    parallelism) when fork is available, threads otherwise.
+    Inline outcomes (worker ``"main"``) are grafted untagged in one
+    call, which keeps their roots in run order and their relative
+    timing intact.  Pool outcomes are grafted one by one, tagged with
+    the worker that ran them, and their queue waits feed the
+    ``exec.queue_wait_seconds`` timer — so a serial run records no
+    ``exec.*`` metric at all.
     """
-    from repro.exec.pool import (
-        ProcessExecutor,
-        ThreadExecutor,
-        WarmProcessExecutor,
-    )
+    inline = []
+    wait_timer = None
+    for outcome in outcomes:
+        value = outcome.value
+        if value is None:
+            continue
+        if outcome.worker == "main":
+            inline.extend(value.spans)
+            continue
+        if wait_timer is None:
+            wait_timer = telemetry.metrics.timer(
+                "exec.queue_wait_seconds"
+            )
+        telemetry.spans.graft(value.spans, worker=outcome.worker)
+        wait_timer.observe(outcome.queue_wait)
+    telemetry.spans.graft(inline)
+
+
+def resolve_executor(config, telemetry=None):
+    """The executor for one detection run, from ``config.jobs``.
+
+    Serial runs when ``jobs <= 1``, when the platform has no ``fork``
+    start method, and for two configurations whose semantics are
+    inherently sequential: ``audit`` (the audit log and span tree
+    record the in-process schedule) and ``fail_fast`` (the backend
+    stops mid-schedule at the first cross-failure bug).  Every other
+    run gets the warm process pool.
+    """
+    from repro.exec.pool import WarmProcessExecutor
 
     jobs = int(getattr(config, "jobs", 1) or 1)
-    kind = getattr(config, "executor", "auto") or "auto"
-    if kind not in EXECUTOR_KINDS:
-        raise ValueError(
-            f"unknown executor {kind!r} (choose from "
-            f"{', '.join(EXECUTOR_KINDS)})"
-        )
     if (
-        kind == "serial"
-        or jobs <= 1
+        jobs <= 1
         or getattr(config, "audit", False)
         or getattr(config, "fail_fast", False)
+        or not WarmProcessExecutor.available()
     ):
         return SerialExecutor()
-    if kind == "auto":
-        kind = "process" if ProcessExecutor.available() else "thread"
-    if kind == "process" and not ProcessExecutor.available():
-        if telemetry is not None:
-            telemetry.metrics.inc("exec.fallback_to_thread")
-        kind = "thread"
-    batch_size = int(getattr(config, "batch_size", 1) or 1)
-    if kind == "process":
-        if getattr(config, "warm_pool", True):
-            return WarmProcessExecutor(
-                jobs, batch_size=batch_size, telemetry=telemetry
-            )
-        return ProcessExecutor(jobs, batch_size=batch_size)
-    return ThreadExecutor(jobs, batch_size=batch_size)
+    return WarmProcessExecutor(
+        jobs,
+        batch_size=int(getattr(config, "batch_size", 1) or 1),
+        telemetry=telemetry,
+    )

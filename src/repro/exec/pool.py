@@ -1,189 +1,50 @@
-"""Thread- and process-pool executors.
+"""The warm persistent process pool.
 
-All executors submit tasks in key order and collect results in the
-same order, so downstream merging is deterministic.  Queue-wait is
-measured with ``time.monotonic`` (system-wide on Linux, so it is
-comparable across a fork) and surfaced per task through
-:class:`~repro.exec.base.TaskOutcome`.
+Workers are forked once per run and kept alive across phases.  They
+fork *before* any phase context exists, so contexts reach them
+explicitly: a small pickled blob in which the snapshot store has been
+replaced by a :class:`~repro.exec.shm.ShmStoreView` (workers attach
+the shared segment zero-copy) and shadow checkpoints travel per batch.
+Each worker keeps its attached store — and with it one long-lived
+``repro.dedup.ImageMemo`` — for the whole run.
 
 Dispatch is *batched*: keys are grouped by
-:func:`~repro.exec.base.plan_batches` and each batch is one pool
-submission, so per-task scheduling overhead amortizes and a worker's
+:func:`~repro.exec.base.plan_batches` and each batch is one pipe
+message, so per-task scheduling overhead amortizes and a worker's
 replay-prefix memo cursor advances monotonically across the whole
-batch.
+batch.  Results are collected in key order, so downstream merging is
+deterministic.  Queue-wait is measured with ``time.monotonic``
+(system-wide on Linux, so it is comparable across a fork) and surfaced
+per task through :class:`~repro.exec.base.TaskOutcome`.
 
-Two process executors share the fork start method but differ in
-lifetime:
-
-* :class:`ProcessExecutor` (cold) — a fresh pool per phase, forked
-  *after* the phase context is published as a module global in
-  :mod:`repro.exec.worker`, so children inherit it through
-  copy-on-write memory and nothing but batches of task keys and
-  results crosses a pickle boundary.
-* :class:`WarmProcessExecutor` — workers spawned once per run and kept
-  alive across phases.  They fork *before* any phase context exists,
-  so contexts reach them explicitly: a small pickled blob in which the
-  snapshot store has been replaced by a
-  :class:`~repro.exec.shm.ShmStoreView` (workers attach the shared
-  segment zero-copy) and shadow checkpoints travel per batch.  Each
-  worker keeps its attached store — and with it one long-lived
-  ``repro.dedup.ImageMemo`` — for the whole run.
+A phase whose context or task function will not pickle runs inline on
+the serial schedule instead (the ``exec.warm_fallbacks`` counter).
 """
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import multiprocessing
 import multiprocessing.connection
-import os
 import pickle
-import threading
 import time
 
 from repro.errors import HarnessError
-from repro.exec.base import TaskOutcome, plan_batches
-
-
-def _collect(pool, call, batches):
-    """Submit every batch and gather outcomes in key order, converting
-    per-batch exceptions — including a broken pool, whose in-flight and
-    not-yet-submitted batches all surface it — into error outcomes.
-    The supervisor decides what to retry; the executor never loses the
-    completed siblings of a failed task.
-    """
-    futures = []
-    for batch in batches:
-        try:
-            futures.append(pool.submit(*call(batch)))
-        except Exception as exc:  # pool already broken at submit time
-            futures.append(exc)
-    outcomes = []
-    for batch, future in zip(batches, futures):
-        if isinstance(future, Exception):
-            outcomes.extend(
-                TaskOutcome(None, error=future) for _key in batch
-            )
-            continue
-        try:
-            outcomes.extend(future.result())
-        except Exception as exc:
-            outcomes.extend(
-                TaskOutcome(None, error=exc) for _key in batch
-            )
-    return outcomes
-
-
-def _run_batch(func, context, keys, submitted, worker):
-    """One worker's pass over a batch: per-key outcomes, per-key error
-    capture (one crashed task must not take its batchmates with it)."""
-    outcomes = []
-    for key in keys:
-        started = time.monotonic()
-        try:
-            value = func(context, key)
-        except Exception as exc:
-            outcomes.append(TaskOutcome(None, error=exc))
-            continue
-        outcomes.append(TaskOutcome(value, started - submitted, worker))
-    return outcomes
-
-
-def _thread_batch(func, context, keys, submitted):
-    return _run_batch(
-        func, context, keys, submitted,
-        threading.current_thread().name,
-    )
-
-
-class ThreadExecutor:
-    """A thread pool: no GIL-bound speedup, but exercises the parallel
-    result plumbing and overlaps any releases of the GIL."""
-
-    kind = "thread"
-
-    def __init__(self, jobs, batch_size=1):
-        self.jobs = max(2, int(jobs))
-        self.batch_size = max(1, int(batch_size))
-
-    def run_phase(self, context, func, keys):
-        keys = list(keys)
-        if not keys:
-            return []
-        batches = plan_batches(keys, self.batch_size)
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=min(self.jobs, len(batches)),
-            thread_name_prefix="xfd-worker",
-        ) as pool:
-            return _collect(
-                pool,
-                lambda batch: (
-                    _thread_batch, func, context, batch,
-                    time.monotonic(),
-                ),
-                batches,
-            )
-
-    def close(self):
-        pass
-
-
-def _process_batch(func, keys, submitted):
-    from repro.exec import worker
-
-    return _run_batch(
-        func, worker.get_context(), keys, submitted,
-        f"pid-{os.getpid()}",
-    )
-
-
-class ProcessExecutor:
-    """A fork-based process pool: real CPU parallelism, fresh pool per
-    phase (cold — the fork itself ships the context)."""
-
-    kind = "process"
-
-    def __init__(self, jobs, batch_size=1):
-        self.jobs = max(2, int(jobs))
-        self.batch_size = max(1, int(batch_size))
-
-    @staticmethod
-    def available():
-        return "fork" in multiprocessing.get_all_start_methods()
-
-    def run_phase(self, context, func, keys):
-        from repro.exec import worker
-
-        keys = list(keys)
-        if not keys:
-            return []
-        batches = plan_batches(keys, self.batch_size)
-        worker.set_context(context)
-        try:
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(batches)),
-                mp_context=multiprocessing.get_context("fork"),
-            ) as pool:
-                return _collect(
-                    pool,
-                    lambda batch: (_process_batch, func, batch,
-                                   time.monotonic()),
-                    batches,
-                )
-        finally:
-            worker.set_context(None)
-
-    def close(self):
-        pass
+from repro.exec.base import SerialExecutor, TaskOutcome, plan_batches
 
 
 class _WarmWorker:
     """Parent-side handle on one persistent worker process."""
 
-    __slots__ = ("conn", "process", "generation", "batches")
+    __slots__ = ("conn", "process", "progress", "generation", "batches")
 
-    def __init__(self, conn, process):
+    def __init__(self, conn, process, progress):
         self.conn = conn
         self.process = process
+        #: Shared cell the worker sets to the in-batch position of the
+        #: key it is about to run, so a death is charged to that key.
+        self.progress = progress
         #: The context generation last shipped to this worker; stale
         #: workers get a fresh ``("ctx", ...)`` before their next batch.
         self.generation = -1
@@ -204,7 +65,7 @@ _NO_CONTEXT = object()
 _SEND_FAULTS = (pickle.PicklingError, TypeError, AttributeError)
 
 
-class WarmProcessExecutor(ProcessExecutor):
+class WarmProcessExecutor:
     """A persistent fork-process pool fed over pipes.
 
     Workers are spawned once (ideally via :meth:`prewarm`, before the
@@ -212,16 +73,23 @@ class WarmProcessExecutor(ProcessExecutor):
     retry waves, and the post→replay transition.  Dispatch discipline:
     a batch is only sent to an *idle* worker — one whose previous
     result has been received — so the worker is guaranteed to be in
-    its receive loop and pipe writes cannot deadlock.  A worker death
-    surfaces as ``BrokenExecutor`` outcomes for its in-flight batch
-    (transient, retried by the supervisor) and the slot respawns on
-    the next dispatch.
+    its receive loop and pipe writes cannot deadlock.
+
+    A worker death is charged to the one key it was running: that key
+    gets a ``BrokenExecutor`` outcome (transient, retried by the
+    supervisor on a fresh attempt), while its batchmates — including
+    the ones it finished but could not ship — are requeued in the same
+    phase without being charged.  Dead workers are replaced before the
+    next dispatch, so a phase always drains.
     """
 
+    kind = "process"
+
     def __init__(self, jobs, batch_size=8, telemetry=None):
-        super().__init__(jobs, batch_size=batch_size)
         from repro.exec.shm import ShmSnapshotPlane
 
+        self.jobs = max(2, int(jobs))
+        self.batch_size = max(1, int(batch_size))
         self._telemetry = telemetry
         self._plane = ShmSnapshotPlane()
         self._mp = multiprocessing.get_context("fork")
@@ -230,6 +98,10 @@ class WarmProcessExecutor(ProcessExecutor):
         self._ctx_ref = _NO_CONTEXT
         self._ctx_blob = None
         self._closed = False
+
+    @staticmethod
+    def available():
+        return "fork" in multiprocessing.get_all_start_methods()
 
     # -- telemetry helpers ---------------------------------------------
 
@@ -252,7 +124,11 @@ class WarmProcessExecutor(ProcessExecutor):
         """
         if self._closed:
             return
-        while len(self._workers) < self.jobs:
+        self._top_up(self.jobs)
+
+    def _top_up(self, count):
+        """Spawn workers until at least ``count`` are alive."""
+        while len(self._workers) < count:
             self._workers.append(self._spawn())
 
     def _spawn(self):
@@ -267,15 +143,16 @@ class WarmProcessExecutor(ProcessExecutor):
         # segments the parent still serves when the worker exits.
         resource_tracker.ensure_running()
         parent_conn, child_conn = self._mp.Pipe(duplex=True)
+        progress = self._mp.RawValue("i", 0)
         process = self._mp.Process(
             target=warm_worker_main,
-            args=(child_conn,),
+            args=(child_conn, progress),
             name=f"xfd-warm-{len(self._workers)}",
             daemon=True,
         )
         process.start()
         child_conn.close()
-        return _WarmWorker(parent_conn, process)
+        return _WarmWorker(parent_conn, process, progress)
 
     def _discard(self, worker):
         try:
@@ -295,7 +172,7 @@ class WarmProcessExecutor(ProcessExecutor):
     def _export_blob(self, context, func):
         """The pickled ``(context, func)`` payload for this phase, with
         heavy members swapped for shared-memory views; None when the
-        phase cannot be exported (fall back to the cold path)."""
+        phase cannot be exported (it then runs inline)."""
         if context is self._ctx_ref:
             return self._ctx_blob
         export = context
@@ -322,10 +199,10 @@ class WarmProcessExecutor(ProcessExecutor):
             return []
         blob = self._export_blob(context, func)
         if blob is None:
-            # Unpicklable phase (e.g. locally-defined test workload):
-            # run it on the cold fork-inheritance path instead.
+            # Unpicklable phase (e.g. a locally-defined test workload
+            # or task function): run it inline on the serial schedule.
             self._metric_inc("exec.warm_fallbacks")
-            return super().run_phase(context, func, keys)
+            return SerialExecutor().run_phase(context, func, keys)
         batches = plan_batches(keys, self.batch_size)
         self._gauge(
             "exec.batch_size_effective", len(keys) / len(batches)
@@ -334,98 +211,87 @@ class WarmProcessExecutor(ProcessExecutor):
         attempts = getattr(
             getattr(context, "resilience", None), "attempts", None
         )
-        while len(self._workers) < min(self.jobs, len(batches)):
-            self._workers.append(self._spawn())
-
-        results = [None] * len(batches)  # index -> [TaskOutcome]
-        pending = list(range(len(batches)))
-        busy = {}  # worker -> batch index
+        # Batches travel as lists of key positions, so a batch split by
+        # a worker death still lands every outcome in key order.
+        pending = collections.deque()
+        start = 0
+        for batch in batches:
+            pending.append(list(range(start, start + len(batch))))
+            start += len(batch)
+        results = [None] * len(keys)  # position -> TaskOutcome
+        busy = {}  # worker -> positions in flight
         while pending or busy:
-            # Dispatch to idle workers only — a worker whose previous
-            # result was received is guaranteed to be blocked in its
-            # receive loop, so pipe writes cannot deadlock.
+            # Replace dead workers, then dispatch to idle ones only: a
+            # worker whose previous result was received is guaranteed
+            # to be blocked in its receive loop, so pipe writes cannot
+            # deadlock.
+            self._top_up(min(self.jobs, len(busy) + len(pending)))
             for worker in list(self._workers):
                 if not pending:
                     break
                 if worker in busy:
                     continue
-                index = pending.pop(0)
-                if self._send_batch(
-                    worker, index, batches[index], blob, payloads,
-                    attempts, results,
-                ):
-                    busy[worker] = index
-                # On failure, _send_batch recorded the batch's error
-                # outcomes already; the loop just moves on.
+                if not worker.process.is_alive():
+                    self._discard(worker)  # replaced on the next pass
+                    continue
+                positions = pending.popleft()
+                try:
+                    error = self._send_batch(
+                        worker, [keys[p] for p in positions], blob,
+                        payloads, attempts,
+                    )
+                except OSError:
+                    self._charge_death(worker, positions, results,
+                                       pending)
+                    continue
+                if error is None:
+                    busy[worker] = positions
+                else:
+                    for position in positions:
+                        results[position] = TaskOutcome(None, error=error)
             if busy:
-                self._reap(busy, batches, results)
-            elif pending:
-                # Every worker is gone mid-phase.  Surface the rest as
-                # broken-executor outcomes (transient): the supervisor
-                # retries them in a new wave, and the next run_phase
-                # respawns the complement.
-                error = concurrent.futures.BrokenExecutor(
-                    "no warm workers left"
-                )
-                for index in pending:
-                    results[index] = [
-                        TaskOutcome(None, error=error)
-                        for _key in batches[index]
-                    ]
-                pending = []
-        ordered = []
-        for outcomes in results:
-            ordered.extend(outcomes)
-        return ordered
+                self._reap(busy, keys, results, pending)
+        return results
 
-    def _send_batch(self, worker, index, batch, blob, payloads,
-                    attempts, results):
-        """Ship context (if stale) then the batch; False on failure
-        (error outcomes recorded, worker discarded if dead)."""
-        def fail(error):
-            results[index] = [
-                TaskOutcome(None, error=error) for _key in batch
-            ]
-            return False
-
+    def _send_batch(self, worker, batch, blob, payloads, attempts):
+        """Ship context (if stale) then the batch.  Returns None once
+        sent, or the :class:`HarnessError` every key of a batch that
+        cannot be built or pickled fails with; raises ``OSError`` when
+        the worker is dead."""
         payload = None
         if payloads is not None:
             try:
                 payload = payloads(batch)
             except Exception as exc:
-                return fail(HarnessError(
+                return HarnessError(
                     f"batch payload failed: "
                     f"{type(exc).__name__}: {exc}",
                     phase="exec",
-                ))
+                )
         batch_attempts = None
         if attempts is not None:
             batch_attempts = {
                 key: attempts[key] for key in batch if key in attempts
             }
+        worker.progress.value = 0
         try:
             if worker.generation != self._generation:
                 worker.conn.send(("ctx", self._generation, blob))
                 worker.generation = self._generation
             worker.conn.send(
-                ("batch", index, batch, payload, batch_attempts,
+                ("batch", batch, payload, batch_attempts,
                  time.monotonic())
             )
-            return True
         except _SEND_FAULTS as exc:
             # The pipe is intact — the payload would not pickle.
-            return fail(HarnessError(
+            return HarnessError(
                 f"batch would not serialize: "
                 f"{type(exc).__name__}: {exc}",
                 phase="exec",
-            ))
-        except OSError:
-            self._discard(worker)
-            return fail(concurrent.futures.BrokenExecutor(
-                f"warm worker {worker.label} unreachable"
-            ))
+            )
+        return None
 
-    def _reap(self, busy, batches, results):
+    def _reap(self, busy, keys, results, pending):
         """Wait for one completion (or a death) and record it."""
         conns = {worker.conn: worker for worker in busy}
         sentinels = {
@@ -438,56 +304,51 @@ class WarmProcessExecutor(ProcessExecutor):
             worker = conns.get(item) or sentinels.get(item)
             if worker is None or worker not in busy:
                 continue  # already handled via its other handle
-            index = busy[worker]
-            if item is worker.conn:
-                try:
-                    message = worker.conn.recv()
-                except (EOFError, OSError):
-                    self._lose_batch(busy, worker, index,
-                                     batches[index], results)
-                    continue
-                del busy[worker]
-                results[index] = self._unpack(
-                    message, batches[index], worker
+            positions = busy.pop(worker)
+            try:
+                # A worker that exited right after sending still has
+                # its completed result sitting in the pipe.
+                message = (
+                    worker.conn.recv()
+                    if item is worker.conn or worker.conn.poll(0)
+                    else None
                 )
-                worker.batches += 1
-                if worker.batches > 1:
-                    self._metric_inc("exec.worker_reuse_count")
-            else:
-                # Sentinel fired; a completed result may still be
-                # sitting in the pipe (worker exited right after
-                # sending).
-                try:
-                    if worker.conn.poll(0):
-                        message = worker.conn.recv()
-                        del busy[worker]
-                        results[index] = self._unpack(
-                            message, batches[index], worker
-                        )
-                        worker.batches += 1
-                        self._discard(worker)
-                        continue
-                except (EOFError, OSError):
-                    pass
-                self._lose_batch(busy, worker, index, batches[index],
-                                 results)
+            except (EOFError, OSError):
+                message = None
+            if message is None:
+                self._charge_death(worker, positions, results, pending)
+                continue
+            batch = [keys[position] for position in positions]
+            for position, outcome in zip(
+                positions, self._unpack(message, batch, worker)
+            ):
+                results[position] = outcome
+            worker.batches += 1
+            if worker.batches > 1:
+                self._metric_inc("exec.worker_reuse_count")
+            if item is not worker.conn:
+                self._discard(worker)
 
-    def _lose_batch(self, busy, worker, index, batch, results):
-        exitcode = worker.process.exitcode
-        del busy[worker]
+    def _charge_death(self, worker, positions, results, pending):
+        """A worker died holding ``positions``: charge the key it was
+        running, requeue the rest uncharged at the head of the queue."""
+        running = min(max(worker.progress.value, 0), len(positions) - 1)
         self._discard(worker)
-        error = concurrent.futures.BrokenExecutor(
-            f"warm worker {worker.label} died mid-batch "
-            f"(exitcode {exitcode})"
+        results[positions[running]] = TaskOutcome(
+            None,
+            error=concurrent.futures.BrokenExecutor(
+                f"warm worker {worker.label} died mid-batch "
+                f"(exitcode {worker.process.exitcode})"
+            ),
         )
-        results[index] = [
-            TaskOutcome(None, error=error) for _key in batch
-        ]
+        rest = positions[:running] + positions[running + 1:]
+        if rest:
+            pending.appendleft(rest)
 
     def _unpack(self, message, batch, worker):
-        """A worker's ``("done", index, shipped, stats)`` message as
+        """A worker's ``("done", shipped, stats)`` message as
         TaskOutcomes, defensively padded to the batch length."""
-        _tag, _index, shipped, stats = message
+        _tag, shipped, stats = message
         attach_ms = stats.get("attach_ms")
         if attach_ms is not None:
             self._gauge("exec.attach_time_ms", attach_ms)

@@ -2,13 +2,13 @@
 
 A *phase context* bundles everything every task of one phase reads and
 nothing it writes: the (telemetry-stripped) config, the workload, the
-delta snapshot store, shadow checkpoints.  With the thread executor it
-is shared by reference; with the process executor it travels into the
-children by fork inheritance through :func:`set_context` — it is never
-pickled.  Task keys and outcomes are the only values that cross the
-pickle boundary, and outcomes are built from plain data (trace
-recorders, repr strings, bug records, a local metrics registry) so the
-parent can merge them deterministically in key order.
+delta snapshot store, shadow checkpoints.  The serial executor passes
+it to each task by reference; the warm pool ships it to its workers
+once per phase as a pickled blob, with the snapshot store swapped for
+a shared-memory view (``export_for_workers``).  Outcomes are built
+from plain data (trace recorders, repr strings, bug records, a local
+metrics registry) so the parent can merge them deterministically in
+key order.
 
 The task bodies import :mod:`repro.core.frontend` lazily: the frontend
 itself imports this package, and the cycle resolves only at call time.
@@ -20,25 +20,6 @@ import dataclasses
 import os
 
 from repro.errors import DeadlineExceeded, HarnessError, ReproError
-
-#: The current phase context for forked process workers.  Published by
-#: ``ProcessExecutor.run_phase`` immediately before the pool forks, so
-#: children inherit it through copy-on-write memory.
-_CONTEXT = None
-
-
-def set_context(context):
-    global _CONTEXT
-    _CONTEXT = context
-
-
-def get_context():
-    if _CONTEXT is None:
-        raise RuntimeError(
-            "no phase context published; run_phase must set_context() "
-            "before forking workers"
-        )
-    return _CONTEXT
 
 
 def strip_config(config):
@@ -178,13 +159,14 @@ def run_post_task(ctx, key):
                 recorder, config.capture_ips, platform=config.platform
             )
             memory.deadline = deadline
-            # Replay-prefix memo: reuse this worker's rolling image
-            # buffers (O(delta) per task instead of three O(pool)
-            # copies).  The persisted-only ablation mode keeps the
-            # legacy materialize path — its base image is the strict
-            # view, which the memo's working buffer does not model.
+            # Replay-prefix memo (on with dedup): reuse this worker's
+            # rolling image buffers (O(delta) per task instead of three
+            # O(pool) copies).  The persisted-only ablation mode keeps
+            # the legacy materialize path — its base image is the
+            # strict view, which the memo's working buffer does not
+            # model.
             use_memo = (
-                getattr(config, "replay_memo", False)
+                getattr(config, "dedup", False)
                 and config.crash_image_mode is CrashImageMode.AS_WRITTEN
                 and hasattr(ctx.store, "deltas")
             )
@@ -415,7 +397,7 @@ def _shippable_error(exc):
         )
 
 
-def warm_worker_main(conn):
+def warm_worker_main(conn, progress):
     """Body of one persistent warm-pool worker process.
 
     Protocol (all over one duplex pipe, parent never sends to a busy
@@ -423,10 +405,12 @@ def warm_worker_main(conn):
 
     * ``("ctx", generation, blob)`` — adopt a new phase context:
       unpickle ``(context, func)``, attach any shared-memory store.
-    * ``("batch", index, keys, payload, attempts, submitted)`` — run
-      the batch, reply ``("done", index, shipped, stats)`` where
-      ``shipped`` is one ``("ok", value, queue_wait)`` or
-      ``("err", exc)`` per key.
+    * ``("batch", keys, payload, attempts, submitted)`` — run the
+      batch, reply ``("done", shipped, stats)`` where ``shipped`` is
+      one ``("ok", value, queue_wait)`` or ``("err", exc)`` per key.
+      Before each key the worker stores its position in the shared
+      ``progress`` cell, so if the process dies the parent charges
+      exactly that key.
     * ``("reset",)`` — drop all per-run state (context, attached shm
       views, replay memo) but stay alive: the service fleet reuses
       the pool for the next detection run.
@@ -473,7 +457,7 @@ def warm_worker_main(conn):
             ctx, func = pickle.loads(blob)
             attach_ms = _attach_context(ctx)
             continue
-        _tag, index, keys, payload, attempts, submitted = message
+        _tag, keys, payload, attempts, submitted = message
         shipped = []
         stats = {"attach_ms": attach_ms}
         attach_ms = None  # report the attach once, on its first batch
@@ -482,7 +466,8 @@ def warm_worker_main(conn):
             install(payload)
         if attempts:
             ctx.resilience.attempts.update(attempts)
-        for key in keys:
+        for position, key in enumerate(keys):
+            progress.value = position
             started = time.monotonic()
             try:
                 value = func(ctx, key)
@@ -493,7 +478,7 @@ def warm_worker_main(conn):
         if payload is not None and install is not None:
             ctx.clear_payload()
         try:
-            conn.send(("done", index, shipped, stats))
+            conn.send(("done", shipped, stats))
         except Exception:
             # Some outcome refused to pickle mid-send; the parent's
             # recv would hang on a half-message if we just died, so
@@ -507,7 +492,7 @@ def warm_worker_main(conn):
                 for _key in keys
             ]
             try:
-                conn.send(("done", index, fallback, stats))
+                conn.send(("done", fallback, stats))
             except Exception:
                 break
     # Detach cleanly on the way out too: interpreter shutdown runs

@@ -33,7 +33,6 @@ _NT_STORE_CODE = KIND_CODE[EventKind.NT_STORE]
 _LOAD_CODE = KIND_CODE[EventKind.LOAD]
 _FLUSH_CODE = KIND_CODE[EventKind.FLUSH]
 _FENCE_CODE = KIND_CODE[EventKind.FENCE]
-_KIND_BY_CODE = tuple(EventKind)
 
 
 class _ThreadState(threading.local):
@@ -80,11 +79,6 @@ class PersistentMemory:
         self._cache = CacheModel(self._read_line_raw)
         self._ordering_listeners = []
         self._observers = []
-        # True while every attached observer implements the columnar
-        # ``on_op`` protocol: events then stay un-materialized and the
-        # recorder appends bare scalars.  Any legacy ``on_event``-only
-        # observer flips the runtime back to per-op event objects.
-        self._fast_observe = True
         # Annotation state consulted by the failure injector and set by
         # the Table 2 interface and by library internals.  Failure
         # points are only injected while roi_active is true, the
@@ -196,17 +190,11 @@ class PersistentMemory:
         self._ordering_listeners.append(listener)
 
     def add_observer(self, observer):
-        """Observers see every emitted trace operation.
-
-        Observers implementing ``on_op(kind_code, addr, size, info,
-        ip, tid)`` ride the columnar fast path (no event object is
-        built); legacy ``on_event(event)`` observers force per-op
-        event materialization for everyone.
-        """
+        """Observers see every emitted trace operation through
+        ``on_op(kind_code, addr, size, info, ip, tid)`` — bare scalars,
+        the same columns the recorder appends; no event object is
+        built."""
         self._observers.append(observer)
-        self._fast_observe = all(
-            hasattr(obs, "on_op") for obs in self._observers
-        )
 
     def _emit_op(self, code, addr=0, size=0, info="", ip=None):
         """Emit one operation by integer kind code (the hot path).
@@ -222,20 +210,12 @@ class PersistentMemory:
         tid = self._tls.tid
         if tid is None:
             tid = self.current_tid()
-        if self._fast_observe:
-            self.recorder.append_op(code, addr, size, info, ip, tid)
-            for observer in self._observers:
-                observer.on_op(code, addr, size, info, ip, tid)
-            return None
-        event = self.recorder.append(
-            _KIND_BY_CODE[code], addr, size, info, ip, tid=tid
-        )
+        self.recorder.append_op(code, addr, size, info, ip, tid)
         for observer in self._observers:
-            observer.on_event(event)
-        return event
+            observer.on_op(code, addr, size, info, ip, tid)
 
     def _emit(self, kind, addr=0, size=0, info="", ip=None):
-        return self._emit_op(KIND_CODE[kind], addr, size, info, ip)
+        self._emit_op(KIND_CODE[kind], addr, size, info, ip)
 
     def emit_marker(self, kind, addr=0, size=0, info=""):
         """Emit an annotation/marker event (used by the Table 2 API and
@@ -243,7 +223,7 @@ class PersistentMemory:
         appends span several arrays and must stay atomic with respect
         to other threads' data operations."""
         with self._lock:
-            return self._emit(kind, addr, size, info)
+            self._emit(kind, addr, size, info)
 
     def _notify_ordering_point(self, reason, force=False):
         for listener in self._ordering_listeners:
@@ -291,17 +271,10 @@ class PersistentMemory:
             tid = self._tls.tid
             if tid is None:
                 tid = self.current_tid()
-            if self._fast_observe:
-                self.recorder.append_op(_STORE_CODE, address, size, "", ip,
-                                        tid)
-                for observer in self._observers:
-                    observer.on_op(_STORE_CODE, address, size, "", ip, tid)
-            else:
-                event = self.recorder.append(
-                    EventKind.STORE, address, size, "", ip, tid=tid
-                )
-                for observer in self._observers:
-                    observer.on_event(event)
+            self.recorder.append_op(_STORE_CODE, address, size, "", ip,
+                                    tid)
+            for observer in self._observers:
+                observer.on_op(_STORE_CODE, address, size, "", ip, tid)
 
     def nt_store(self, address, data, ip=None):
         """Non-temporal store: bypasses the cache, pending until fence."""
@@ -324,18 +297,11 @@ class PersistentMemory:
             tid = self._tls.tid
             if tid is None:
                 tid = self.current_tid()
-            if self._fast_observe:
-                self.recorder.append_op(_NT_STORE_CODE, address, size, "",
-                                        ip, tid)
-                for observer in self._observers:
-                    observer.on_op(_NT_STORE_CODE, address, size, "", ip,
-                                   tid)
-            else:
-                event = self.recorder.append(
-                    EventKind.NT_STORE, address, size, "", ip, tid=tid
-                )
-                for observer in self._observers:
-                    observer.on_event(event)
+            self.recorder.append_op(_NT_STORE_CODE, address, size, "",
+                                    ip, tid)
+            for observer in self._observers:
+                observer.on_op(_NT_STORE_CODE, address, size, "", ip,
+                               tid)
 
     def load(self, address, size, ip=None):
         """Load ``size`` bytes from ``address``.
@@ -365,17 +331,10 @@ class PersistentMemory:
             tid = self._tls.tid
             if tid is None:
                 tid = self.current_tid()
-            if self._fast_observe:
-                self.recorder.append_op(_LOAD_CODE, address, size, "", ip,
-                                        tid)
-                for observer in self._observers:
-                    observer.on_op(_LOAD_CODE, address, size, "", ip, tid)
-            else:
-                event = self.recorder.append(
-                    EventKind.LOAD, address, size, "", ip, tid=tid
-                )
-                for observer in self._observers:
-                    observer.on_event(event)
+            self.recorder.append_op(_LOAD_CODE, address, size, "", ip,
+                                    tid)
+            for observer in self._observers:
+                observer.on_op(_LOAD_CODE, address, size, "", ip, tid)
             return data
 
     def flush(self, address, size=1, kind=FlushKind.CLWB, ip=None):

@@ -6,10 +6,10 @@ injects them at the top of every post-failure execution and replay
 task:
 
 * ``crash`` — the worker dies.  In a forked process worker this is a
-  real ``os._exit`` (the parent sees a broken pool, respawns, and
-  requeues); serial and thread workers simulate it by raising
-  :class:`~repro.errors.ChaosCrash`, which the supervisor classifies
-  identically (``WORKER_DEATH``, transient).
+  real ``os._exit`` (the parent charges the dying key, replaces the
+  worker, and requeues its batchmates); inline tasks simulate it by
+  raising :class:`~repro.errors.ChaosCrash`, which the supervisor
+  classifies identically (``WORKER_DEATH``, transient).
 * ``hang`` — the task livelocks.  With a deadline configured the
   worker spins inside the cooperative budget until
   :class:`~repro.errors.DeadlineExceeded` fires naturally, exercising

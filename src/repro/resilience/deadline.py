@@ -13,8 +13,9 @@ into a livelock):
   the wall budget (plus grace) elapses without the task completing.
   Forked process workers use it with ``os._exit`` so even a spin that
   never touches PM kills only that worker; the parent detects the
-  death and requeues the in-flight key.  Thread workers cannot be
-  killed safely, so they rely on the cooperative layer alone.
+  death and retries the key it was running.  Inline (serial) tasks
+  cannot be killed safely, so they rely on the cooperative layer
+  alone.
 """
 
 from __future__ import annotations

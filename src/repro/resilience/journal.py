@@ -37,7 +37,7 @@ from repro.errors import JournalError, JournalMismatchError
 JOURNAL_VERSION = 1
 
 #: Config fields that change what a run detects (and therefore what a
-#: journal entry means).  Scheduling knobs (jobs, executor, the
+#: journal entry means).  Scheduling knobs (jobs, batch_size, the
 #: service's ``failure_point_window``) and resilience knobs are
 #: deliberately excluded: reports are byte-identical across them, and
 #: the exclusion is what lets every shard of one service job write

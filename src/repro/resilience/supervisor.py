@@ -10,11 +10,12 @@ supervisor classifies each failed key and either **retries** it
 deadline hangs), recording a typed
 :class:`~repro.resilience.incidents.Incident` either way.
 
-Retries are *generational*: each retry wave is a fresh ``submit`` call,
-and both pool executors build a fresh pool per call — so a wave after a
-worker death is automatically a self-healed pool with the in-flight
-keys requeued, and a forked worker sees the updated attempt count
-through fork inheritance (chaos rolls are per-attempt).
+Retries are *generational*: each retry wave is a fresh ``submit`` call.
+A worker death costs only the key the worker was running — the warm
+pool requeues its batchmates uncharged within the same wave and
+replaces the worker before its next dispatch — and attempt counts
+travel to the workers with every batch, so a retried key gets a fresh
+roll (chaos rolls are per-attempt).
 
 Completed outcomes keep their key identity, so callers merge them in
 canonical key order and the byte-identical-report guarantee holds for
@@ -67,9 +68,9 @@ def classify_failure(error):
 
     Order matters: a chaos crash is a :class:`HarnessError` subclass
     but must classify as a worker death, and a broken pool (the
-    parent-side symptom of any worker dying mid-phase, including
-    collateral keys that were in flight on the same pool) is always
-    transient — the respawned pool gets a clean roll.
+    parent-side symptom of a worker dying on the key it was running)
+    is always transient — the retry gets a fresh roll on a replacement
+    worker.
     """
     if isinstance(error, DeadlineExceeded):
         return IncidentKind.HANG, False
@@ -90,12 +91,11 @@ def _describe(error):
 class ResilienceContext:
     """Per-phase resilience state shared with task bodies.
 
-    Lives on the phase context (``resilience`` slot), so thread workers
-    share it by reference and forked process workers inherit it —
-    including the supervisor's attempt counts, because each retry
-    generation re-forks the pool after the counts were bumped.  None
-    when every resilience knob is off, keeping the common path
-    zero-overhead.
+    Lives on the phase context (``resilience`` slot): inline tasks
+    share it by reference, and the warm pool ships it with the phase
+    context and the supervisor's current attempt counts with every
+    batch.  None when every resilience knob is off, keeping the common
+    path zero-overhead.
     """
 
     __slots__ = ("phase", "chaos", "attempts", "deadline_seconds",
@@ -160,8 +160,8 @@ class ResilienceContext:
             and deadline.max_seconds is not None
             and self.in_forked_worker()
         ):
-            # Only a forked worker may be hard-killed: os._exit from a
-            # thread would take the whole run down.  The generous
+            # Only a forked worker may be hard-killed: os._exit in the
+            # supervising process would take the whole run down.  The generous
             # factor gives the cooperative layer first shot at a
             # typed, attributable DeadlineExceeded.
             watchdog = Watchdog(

@@ -27,9 +27,14 @@ import sys
 #: Default name prefix of ``multiprocessing.shared_memory`` segments.
 SHM_PREFIX = "psm_"
 
+#: Where POSIX shared-memory segments live on Linux.
+SHM_DIR = "/dev/shm"
 
-def _mapped_shm_names():
-    """Segment names mapped by at least one live process (Linux)."""
+
+def _mapped_shm_names(shm_dir):
+    """Names under ``shm_dir`` mapped by at least one live process
+    (Linux)."""
+    marker = os.path.join(shm_dir, "")
     mapped = set()
     try:
         pids = [p for p in os.listdir("/proc") if p.isdigit()]
@@ -39,32 +44,32 @@ def _mapped_shm_names():
         try:
             with open(f"/proc/{pid}/maps") as handle:
                 for line in handle:
-                    if "/dev/shm/" not in line:
+                    if marker not in line:
                         continue
-                    name = line.rsplit("/dev/shm/", 1)[1].strip()
+                    name = line.rsplit(marker, 1)[1].strip()
                     mapped.add(name.split(" ")[0])
         except OSError:
             continue  # raced an exit, or no permission: skip
     return mapped
 
 
-def find_orphan_segments():
-    """``/dev/shm`` segments with the python prefix that no live
+def find_orphan_segments(shm_dir=SHM_DIR):
+    """Segments under ``shm_dir`` with the python prefix that no live
     process maps.  Empty off-Linux (or without procfs) — without the
     maps evidence nothing is provably an orphan."""
     if not sys.platform.startswith("linux"):
         return []
-    if not os.path.isdir("/dev/shm"):
+    if not os.path.isdir(shm_dir):
         return []
-    mapped = _mapped_shm_names()
+    mapped = _mapped_shm_names(shm_dir)
     if mapped is None:
         return []
     orphans = []
     our_uid = os.getuid()
-    for name in sorted(os.listdir("/dev/shm")):
+    for name in sorted(os.listdir(shm_dir)):
         if not name.startswith(SHM_PREFIX) or name in mapped:
             continue
-        path = os.path.join("/dev/shm", name)
+        path = os.path.join(shm_dir, name)
         try:
             stat = os.stat(path)
         except OSError:
@@ -94,9 +99,13 @@ def _job_litter(store, job_id, record):
     ]
 
 
-def diagnose(state_dir=None):
-    """All findings for one host (and optionally one state dir)."""
-    findings = list(find_orphan_segments())
+def diagnose(state_dir=None, shm_dir=SHM_DIR):
+    """All findings for one host (and optionally one state dir).
+
+    ``shm_dir`` is where shared-memory segments are scanned; tests
+    point it at a private directory so they never see (or clean) the
+    host's live segments."""
+    findings = list(find_orphan_segments(shm_dir))
     # Segments this very process created and still owns are *live*,
     # not leaks — but a doctor run inside a detection process is a
     # debugging aid, so surface them as informational.
@@ -105,7 +114,7 @@ def diagnose(state_dir=None):
     for name in live_segments():
         findings.append({
             "kind": "live_segment_here",
-            "path": os.path.join("/dev/shm", name),
+            "path": os.path.join(shm_dir, name),
             "note": "created by this process; not removable",
         })
     if state_dir is None:

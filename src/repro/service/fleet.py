@@ -38,7 +38,6 @@ class FleetSettings:
     #: fleet worker, 1 runs shards serially in the worker itself.
     shard_jobs: int = 1
     batch_size: int = 8
-    warm_pool: bool = True
     heartbeat_interval: float = 0.2
 
     def to_dict(self):
@@ -51,10 +50,9 @@ class FleetSettings:
 
 def _build_executor(settings):
     from repro.exec.base import SerialExecutor
-    from repro.exec.pool import ProcessExecutor, WarmProcessExecutor
+    from repro.exec.pool import WarmProcessExecutor
 
-    if settings.shard_jobs > 1 and settings.warm_pool \
-            and ProcessExecutor.available():
+    if settings.shard_jobs > 1 and WarmProcessExecutor.available():
         executor = WarmProcessExecutor(
             settings.shard_jobs, batch_size=settings.batch_size
         )

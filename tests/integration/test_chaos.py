@@ -12,6 +12,7 @@ import pytest
 
 from repro.core import DetectorConfig, XFDetector
 from repro.errors import HarnessError
+from repro.exec import WarmProcessExecutor
 from repro.pm.snapshot import SnapshotStore
 from repro.resilience import IncidentKind
 from repro.workloads import HashmapAtomicWorkload
@@ -52,6 +53,22 @@ def _break_image_access(monkeypatch, broken_fid):
         monkeypatch.setattr(SnapshotStore, name, flaky(name))
 
 
+def _incident_fields(report):
+    """Every incident field but ``detail``: a real worker death's
+    message names the dead pid, an inline one names the chaos roll."""
+    return [
+        {key: value for key, value in incident.to_dict().items()
+         if key != "detail"}
+        for incident in report.incidents
+    ]
+
+
+needs_fork = pytest.mark.skipif(
+    not WarmProcessExecutor.available(),
+    reason="fork start method required",
+)
+
+
 def _bugs_by_point(report):
     """(failure_point -> bug dict list), timings-free."""
     by_point = {}
@@ -84,19 +101,44 @@ class TestChaosCrash:
             == baseline.stats.post_runs_analyzed
         )
 
+    @needs_fork
     def test_chaos_rolls_match_across_executors(self, baseline):
         """Chaos decisions hash task coordinates, not scheduling: the
-        serial and thread schedules roll identical faults and produce
-        identical reports."""
+        serial schedule and the warm pool — where a crash is a real
+        worker death that costs only the key it was running — roll
+        identical faults and produce identical reports at any batch
+        size."""
         serial = _run(chaos="crash:0.2", max_retries=6)
-        threaded = _run(
-            chaos="crash:0.2", max_retries=6, jobs=4, executor="thread"
-        )
-        assert (
-            [i.to_dict() for i in serial.incidents]
-            == [i.to_dict() for i in threaded.incidents]
-        )
-        assert _bugs_by_point(serial) == _bugs_by_point(threaded)
+        for batch_size in (1, 8):
+            warm = _run(
+                chaos="crash:0.2", max_retries=6, jobs=2,
+                batch_size=batch_size,
+            )
+            assert _incident_fields(warm) == _incident_fields(serial), \
+                f"batch_size={batch_size}"
+            assert _bugs_by_point(warm) == _bugs_by_point(serial)
+
+    @needs_fork
+    def test_one_retry_quarantines_nothing_on_either_path(
+        self, baseline
+    ):
+        """With one retry, no point's chaos rolls crash twice, so
+        nothing may be quarantined — a batchmate of a dying key must
+        not be charged for its death, and a phase whose workers all
+        died must not fail its untried keys."""
+        serial = _run(chaos="crash:0.2", max_retries=1)
+        for batch_size in (1, 8):
+            warm = _run(
+                chaos="crash:0.2", max_retries=1, jobs=2,
+                batch_size=batch_size,
+            )
+            for report in (serial, warm):
+                assert report.incidents
+                assert not report.degraded
+                assert not any(i.quarantined for i in report.incidents)
+                assert _bugs_by_point(report) == _bugs_by_point(baseline)
+            assert _incident_fields(warm) == _incident_fields(serial), \
+                f"batch_size={batch_size}"
 
     def test_exhausted_retries_quarantine_not_abort(self, baseline):
         """With no retry budget, crashed points are quarantined while

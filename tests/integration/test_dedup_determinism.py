@@ -10,7 +10,6 @@ import pytest
 
 from repro.core import DetectorConfig, XFDetector
 from repro.errors import HarnessError
-from repro.exec import ProcessExecutor
 from repro.pm.pool import PMPool
 from repro.workloads import HashmapAtomicWorkload, HashmapTxWorkload
 from repro.workloads.base import Workload
@@ -29,7 +28,7 @@ def _content(report):
 
 
 def _config(enabled, **kwargs):
-    return DetectorConfig(dedup=enabled, replay_memo=enabled, **kwargs)
+    return DetectorConfig(dedup=enabled, **kwargs)
 
 
 class ForcedDuplicates(Workload):
@@ -76,12 +75,7 @@ class TestParallelDedupDeterminism:
             )
 
         serial_off = XFDetector(_config(False)).run(factory())
-        executor = (
-            "process" if ProcessExecutor.available() else "thread"
-        )
-        parallel_on = XFDetector(
-            _config(True, jobs=4, executor=executor)
-        ).run(factory())
+        parallel_on = XFDetector(_config(True, jobs=4)).run(factory())
         assert _content(parallel_on) == _content(serial_off)
 
 
@@ -104,15 +98,12 @@ class TestDedupFires:
         assert _content(on) == _content(off)
 
     def test_parallel_forced_duplicates_identical(self):
-        executor = (
-            "process" if ProcessExecutor.available() else "thread"
-        )
         serial_off = XFDetector(_config(False)).run(
             ForcedDuplicates(test_size=3)
         )
-        parallel_on = XFDetector(
-            _config(True, jobs=4, executor=executor)
-        ).run(ForcedDuplicates(test_size=3))
+        parallel_on = XFDetector(_config(True, jobs=4)).run(
+            ForcedDuplicates(test_size=3)
+        )
         assert parallel_on.stats.post_runs_deduped > 0
         assert _content(parallel_on) == _content(serial_off)
 
@@ -192,13 +183,9 @@ class TestNoDedupEscapeHatch:
 
     def test_env_knob_disables_dedup(self, monkeypatch):
         monkeypatch.setenv("XFD_DEDUP", "0")
-        config = DetectorConfig()
-        assert config.dedup is False
-        assert config.replay_memo is False
+        assert DetectorConfig().dedup is False
         monkeypatch.setenv("XFD_DEDUP", "1")
-        config = DetectorConfig()
-        assert config.dedup is True
-        assert config.replay_memo is True
+        assert DetectorConfig().dedup is True
 
 
 class TestDescribe:

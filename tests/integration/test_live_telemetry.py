@@ -6,7 +6,7 @@ import pytest
 
 from repro import cli
 from repro.core import DetectorConfig, XFDetector
-from repro.exec import ProcessExecutor
+from repro.exec import WarmProcessExecutor
 from repro.obs import run_records
 from repro.obs.live import (
     EVENT_KINDS,
@@ -16,6 +16,11 @@ from repro.obs.live import (
 )
 from repro.workloads import HashmapAtomicWorkload
 
+needs_fork = pytest.mark.skipif(
+    not WarmProcessExecutor.available(),
+    reason="fork start method required",
+)
+
 
 def _workload():
     return HashmapAtomicWorkload(
@@ -23,12 +28,10 @@ def _workload():
     )
 
 
-def _run(tmp_path, tag, jobs=1, executor="serial", progress=None,
-         prom=False):
+def _run(tmp_path, tag, jobs=1, progress=None, prom=False):
     events_path = str(tmp_path / f"{tag}.ndjson")
     config_kwargs = {
         "jobs": jobs,
-        "executor": executor,
         "events": events_path,
         "progress": progress,
         "heartbeat_interval": 0.01,
@@ -122,27 +125,42 @@ class TestLiveRun:
         ]
         assert obs_records == base_records
 
+    @needs_fork
     def test_event_stream_is_schedule_independent(self, tmp_path):
         _report, serial_events, _ = _run(tmp_path, "serial")
-        _report, thread_events, _ = _run(
-            tmp_path, "thread", jobs=4, executor="thread"
-        )
+        _report, warm_events, _ = _run(tmp_path, "warm", jobs=2)
         assert normalized_stream(serial_events) \
-            == normalized_stream(thread_events)
-        if ProcessExecutor.available():
-            _report, process_events, _ = _run(
-                tmp_path, "process", jobs=4, executor="process"
-            )
-            assert normalized_stream(serial_events) \
-                == normalized_stream(process_events)
+            == normalized_stream(warm_events)
 
 
+class TestSerialSpans:
+    def test_serial_profile_is_untagged_ordered_and_exec_free(self):
+        """Serial tasks graft their span trees untagged, in run order
+        with their relative timing intact, and record no ``exec.*``
+        metric — the serial profile is the benchmark's reference."""
+        detector = XFDetector(DetectorConfig(jobs=1))
+        report = detector.run(_workload())
+        detector.telemetry.close()
+        for name in ("post_run", "post_replay"):
+            roots = report.telemetry.spans.find(name)
+            assert roots, f"no {name} spans"
+            assert all("worker" not in span.attrs for span in roots)
+            fids = [span.attrs["fid"] for span in roots]
+            assert fids == sorted(fids)
+            for before, after in zip(roots, roots[1:]):
+                assert before.ended <= after.started
+        metrics = report.telemetry.metrics
+        assert not [
+            name for name in metrics.names() if name.startswith("exec.")
+        ]
+
+
+@needs_fork
 class TestWorkerSpans:
     def test_pool_workers_ship_span_trees(self):
-        """The PR-3 blind spot: pooled runs used to lose all worker
-        span detail.  Now every post_run tree arrives with its worker
-        tag and its children intact."""
-        config = DetectorConfig(jobs=4, executor="thread")
+        """Pooled runs must not lose worker span detail: every post_run
+        tree arrives with its worker tag and its children intact."""
+        config = DetectorConfig(jobs=2)
         detector = XFDetector(config)
         report = detector.run(_workload())
         detector.telemetry.close()
@@ -153,13 +171,13 @@ class TestWorkerSpans:
         ]
         assert len(post_runs) == report.stats.failure_points
         for span in post_runs:
-            assert span.attrs.get("worker")
+            assert span.attrs.get("worker", "").startswith("pid-")
             assert [c.name for c in span.children] \
                 == ["materialize_image", "recovery"]
             assert span.duration > 0
 
     def test_folded_output_covers_worker_trees(self):
-        config = DetectorConfig(jobs=2, executor="thread")
+        config = DetectorConfig(jobs=2)
         detector = XFDetector(config)
         report = detector.run(_workload())
         detector.telemetry.close()

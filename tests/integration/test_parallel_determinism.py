@@ -1,22 +1,23 @@
 """Executor determinism: reports are byte-identical at any pool width.
 
 The tentpole contract of ``repro.exec``: running the same workload with
-``jobs=1`` (serial), ``jobs=4`` on the thread pool, and ``jobs=4`` on
-the fork-based process pool yields identical bug lists, identical
-stats, and identical NDJSON records — modulo wall-clock timings, which
-are the *only* thing an executor is allowed to change.
+``jobs=1`` (serial) and ``jobs=2`` on the warm fork-process pool yields
+identical bug lists, identical stats, and identical NDJSON records —
+modulo wall-clock timings, which are the *only* thing an executor is
+allowed to change.
 """
 
 from repro.core import DetectorConfig, XFDetector
-from repro.exec import ProcessExecutor
+from repro.exec import WarmProcessExecutor
 from repro.obs import run_records
 from repro.workloads import HashmapAtomicWorkload, HashmapTxWorkload
 
+#: Pool widths compared: serial, plus the warm pool where fork exists.
+WIDTHS = [1] + ([2] if WarmProcessExecutor.available() else [])
 
-def _run(jobs, executor, make_workload, **config_kwargs):
-    config = DetectorConfig(
-        jobs=jobs, executor=executor, **config_kwargs
-    )
+
+def _run(jobs, make_workload, **config_kwargs):
+    config = DetectorConfig(jobs=jobs, **config_kwargs)
     return XFDetector(config).run(make_workload())
 
 
@@ -67,12 +68,8 @@ class CrashingRecovery(HashmapAtomicWorkload):
 class TestExecutorDeterminism:
     def _compare(self, make_workload, **config_kwargs):
         reference = None
-        for jobs, executor in [(1, "serial"), (4, "thread")] + (
-            [(4, "process")] if ProcessExecutor.available() else []
-        ):
-            report = _run(
-                jobs, executor, make_workload, **config_kwargs
-            )
+        for jobs in WIDTHS:
+            report = _run(jobs, make_workload, **config_kwargs)
             snapshot = (
                 _report_dict(report), _ndjson_records(report)
             )
@@ -80,10 +77,10 @@ class TestExecutorDeterminism:
                 reference = snapshot
             else:
                 assert snapshot[0] == reference[0], (
-                    f"report differs under jobs={jobs} {executor}"
+                    f"report differs under jobs={jobs}"
                 )
                 assert snapshot[1] == reference[1], (
-                    f"NDJSON differs under jobs={jobs} {executor}"
+                    f"NDJSON differs under jobs={jobs}"
                 )
         return reference
 
@@ -120,9 +117,9 @@ class TestVariantPlanDeterminism:
         """Every executor runs the exact same crash-state variants:
         the (fid, variant) sequence and each run's trace length match
         the serial schedule."""
-        def collect(jobs, executor):
+        def collect(jobs):
             config = DetectorConfig(
-                jobs=jobs, executor=executor, crash_state_variants=3
+                jobs=jobs, crash_state_variants=3
             )
             from repro.core.frontend import Frontend
 
@@ -137,10 +134,9 @@ class TestVariantPlanDeterminism:
                 for run in result.post_runs
             ]
 
-        reference = collect(1, "serial")
-        assert collect(4, "thread") == reference
-        if ProcessExecutor.available():
-            assert collect(4, "process") == reference
+        reference = collect(1)
+        for jobs in WIDTHS[1:]:
+            assert collect(jobs) == reference
         assert any(variant is not None for _f, variant, _n in reference)
 
 

@@ -31,13 +31,14 @@ import urllib.request
 import pytest
 
 from repro.core import XFDetector
-from repro.exec.pool import ProcessExecutor
+from repro.exec.pool import WarmProcessExecutor
 from repro.service import FleetSettings, JobStore, Reaper
 from repro.service.scheduler import Scheduler, _Command
 from repro.service.spec import JobSpec
 
 pytestmark = pytest.mark.skipif(
-    not ProcessExecutor.available(), reason="fork start method required"
+    not WarmProcessExecutor.available(),
+    reason="fork start method required",
 )
 
 HASHMAP = {

@@ -6,15 +6,16 @@ boundaries, and a journal resume that lands mid-batch; (b) every
 shared-memory segment a run publishes is unlinked by the time the run
 returns — on normal exit, on PhaseSupervisor quarantine, and on chaos
 worker death; (c) faults under the warm pool degrade exactly like the
-cold pool (typed incidents, quarantine-and-continue, never an abort);
-(d) long-lived workers actually amortize (reuse + batching metrics).
+serial schedule (typed incidents, quarantine-and-continue, never an
+abort); (d) long-lived workers actually amortize (reuse + batching
+metrics).
 """
 
 import pytest
 
 from repro.core import DetectorConfig, XFDetector
 from repro.errors import HarnessError
-from repro.exec.pool import ProcessExecutor
+from repro.exec.pool import WarmProcessExecutor
 from repro.exec.shm import live_segments
 from repro.pm.pool import PMPool
 from repro.resilience import IncidentKind
@@ -22,7 +23,8 @@ from repro.workloads import HashmapAtomicWorkload
 from repro.workloads.base import Workload
 
 pytestmark = pytest.mark.skipif(
-    not ProcessExecutor.available(), reason="fork start method required"
+    not WarmProcessExecutor.available(),
+    reason="fork start method required",
 )
 
 
@@ -123,9 +125,7 @@ class QuarantineWorkload(Workload):
 class TestWarmDeterminism:
     def test_warm_pool_matches_serial(self):
         reference, _ = _run(jobs=1)
-        warm, detector = _run(
-            jobs=2, executor="process", batch_size=4
-        )
+        warm, detector = _run(jobs=2, batch_size=4)
         assert _report_dict(warm) == _report_dict(reference)
         assert live_segments() == []
         metrics = detector.telemetry.metrics
@@ -140,23 +140,16 @@ class TestWarmDeterminism:
         for batch_size in (1, 3, 16):
             report, _ = _run(
                 workload=BurstWorkload(test_size=4),
-                jobs=2, executor="process", batch_size=batch_size,
+                jobs=2, batch_size=batch_size,
             )
             assert _report_dict(report) == _report_dict(reference), \
                 f"batch_size={batch_size} changed the report"
         assert live_segments() == []
 
-    def test_cold_pool_still_matches(self):
-        reference, _ = _run(jobs=1)
-        cold, _ = _run(
-            jobs=2, executor="process", warm_pool=False, batch_size=4
-        )
-        assert _report_dict(cold) == _report_dict(reference)
-
     def test_workers_amortize(self):
         _report, detector = _run(
             workload=BurstWorkload(test_size=4),
-            jobs=2, executor="process", batch_size=4,
+            jobs=2, batch_size=4,
         )
         metrics = detector.telemetry.metrics
         # Post phase + replay phase over two workers: reuse must beat
@@ -185,7 +178,7 @@ class TestResumeMidBatch:
         )
         warm_resumed, _ = _run(
             workload=BurstWorkload(test_size=4),
-            jobs=2, executor="process", batch_size=4,
+            jobs=2, batch_size=4,
             resume=str(killed_path),
             journal=str(tmp_path / "warm.ndjson"),
         )
@@ -202,7 +195,7 @@ class TestLeakGuard:
     def test_segments_unlinked_on_quarantine(self):
         report, _ = _run(
             workload=QuarantineWorkload(test_size=3),
-            jobs=2, executor="process", batch_size=2,
+            jobs=2, batch_size=2,
         )
         assert report.degraded
         assert report.incidents
@@ -215,7 +208,7 @@ class TestLeakGuard:
     def test_segments_unlinked_on_chaos_worker_death(self):
         baseline, _ = _run(jobs=1)
         report, _ = _run(
-            jobs=2, executor="process", batch_size=2,
+            jobs=2, batch_size=2,
             chaos="crash:0.3", max_retries=8,
         )
         assert report.incidents, "crash:0.3 should fire at least once"

@@ -9,9 +9,8 @@ from repro.core.config import DetectorConfig
 from repro.core.frontend import _variant_masks
 from repro.errors import CrashSummary, PostFailureCrash
 from repro.exec import (
-    ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
+    WarmProcessExecutor,
     resolve_executor,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -46,49 +45,85 @@ class TestVariantMasks:
         )
 
 
-class TestResolveExecutor:
-    def test_default_is_serial(self):
-        config = DetectorConfig(jobs=1, executor="auto")
-        assert isinstance(resolve_executor(config), SerialExecutor)
+HAS_FORK = WarmProcessExecutor.available()
 
+needs_fork = pytest.mark.skipif(
+    not HAS_FORK, reason="fork start method required"
+)
+
+
+class TestResolveExecutor:
+    def test_default_is_serial(self, monkeypatch):
+        monkeypatch.delenv("XFD_JOBS", raising=False)
+        assert isinstance(
+            resolve_executor(DetectorConfig()), SerialExecutor
+        )
+
+    def test_explicit_serial_kind(self):
+        executor = resolve_executor(DetectorConfig(jobs=1))
+        assert executor.kind == "serial"
+        assert executor.jobs == 1
+
+    @needs_fork
     def test_jobs_enable_a_pool(self):
-        config = DetectorConfig(jobs=4, executor="thread")
-        executor = resolve_executor(config)
-        assert isinstance(executor, ThreadExecutor)
-        assert executor.jobs == 4
+        executor = resolve_executor(DetectorConfig(jobs=4))
+        try:
+            assert isinstance(executor, WarmProcessExecutor)
+            assert executor.jobs == 4
+        finally:
+            executor.close()
 
     def test_audit_forces_serial(self):
-        config = DetectorConfig(jobs=4, executor="thread", audit=True)
+        config = DetectorConfig(jobs=4, audit=True)
         assert isinstance(resolve_executor(config), SerialExecutor)
 
     def test_fail_fast_forces_serial(self):
-        config = DetectorConfig(
-            jobs=4, executor="process", fail_fast=True
-        )
-        assert isinstance(resolve_executor(config), SerialExecutor)
-
-    def test_explicit_serial_kind(self):
-        config = DetectorConfig(jobs=8, executor="serial")
+        config = DetectorConfig(jobs=4, fail_fast=True)
         assert isinstance(resolve_executor(config), SerialExecutor)
 
     def test_process_when_fork_available(self):
-        config = DetectorConfig(jobs=2, executor="process")
-        executor = resolve_executor(config)
-        if ProcessExecutor.available():
-            assert isinstance(executor, ProcessExecutor)
-        else:
-            assert isinstance(executor, ThreadExecutor)
+        executor = resolve_executor(DetectorConfig(jobs=2))
+        try:
+            assert executor.kind == ("process" if HAS_FORK else "serial")
+        finally:
+            executor.close()
 
+    @needs_fork
     def test_auto_prefers_a_pool(self):
-        config = DetectorConfig(jobs=2, executor="auto")
-        executor = resolve_executor(config)
-        assert isinstance(executor, (ProcessExecutor, ThreadExecutor))
+        """With no executor knob left, ``jobs > 1`` alone picks the
+        warm pool."""
+        executor = resolve_executor(DetectorConfig(jobs=2))
+        try:
+            assert isinstance(executor, WarmProcessExecutor)
+            assert executor.jobs == 2
+        finally:
+            executor.close()
 
-    def test_unknown_kind_raises(self):
-        config = DetectorConfig(jobs=2)
-        config.executor = "gpu"
-        with pytest.raises(ValueError):
-            resolve_executor(config)
+    @pytest.mark.parametrize("fork", [True, False])
+    @pytest.mark.parametrize("fail_fast", [False, True])
+    @pytest.mark.parametrize("audit", [False, True])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_resolution_table(self, monkeypatch, jobs, audit,
+                              fail_fast, fork):
+        """The warm pool runs exactly when ``jobs > 1``, neither audit
+        nor fail-fast asks for the in-process schedule, and the
+        platform can fork; everything else is serial."""
+        if fork and not HAS_FORK:
+            pytest.skip("fork start method required")
+        monkeypatch.setattr(
+            WarmProcessExecutor, "available", staticmethod(lambda: fork)
+        )
+        config = DetectorConfig(
+            jobs=jobs, audit=audit, fail_fast=fail_fast
+        )
+        executor = resolve_executor(config)
+        try:
+            warm = jobs > 1 and not audit and not fail_fast and fork
+            expected = WarmProcessExecutor if warm else SerialExecutor
+            assert type(executor) is expected
+            assert executor.kind == ("process" if warm else "serial")
+        finally:
+            executor.close()
 
 
 class TestEnvDefaults:
@@ -102,12 +137,6 @@ class TestEnvDefaults:
         monkeypatch.setenv("XFD_JOBS", "-2")
         assert DetectorConfig().jobs == 1
 
-    def test_xfd_executor(self, monkeypatch):
-        monkeypatch.setenv("XFD_EXECUTOR", "thread")
-        assert DetectorConfig().executor == "thread"
-        monkeypatch.setenv("XFD_EXECUTOR", "quantum")
-        assert DetectorConfig().executor == "auto"
-
 
 def _double(_context, key):
     return key * 2
@@ -119,16 +148,27 @@ class TestExecutorsRunPhases:
         assert [o.value for o in outcomes] == [6, 2, 4]
         assert all(o.worker == "main" for o in outcomes)
 
-    def test_thread_pool_preserves_key_order(self):
-        executor = ThreadExecutor(4)
-        keys = list(range(20))
-        outcomes = executor.run_phase(None, _double, keys)
+    @needs_fork
+    def test_warm_pool_preserves_key_order(self):
+        executor = WarmProcessExecutor(4, batch_size=3)
+        try:
+            keys = list(range(20))
+            outcomes = executor.run_phase(None, _double, keys)
+        finally:
+            executor.close()
         assert [o.value for o in outcomes] == [k * 2 for k in keys]
         assert all(o.queue_wait >= 0.0 for o in outcomes)
-        executor.close()
+        assert all(o.worker.startswith("pid-") for o in outcomes)
 
-    def test_thread_pool_empty_phase(self):
-        assert ThreadExecutor(2).run_phase(None, _double, []) == []
+    @needs_fork
+    def test_warm_pool_empty_phase(self):
+        """An empty phase returns no outcomes and forks no worker."""
+        executor = WarmProcessExecutor(2)
+        try:
+            assert executor.run_phase(None, _double, []) == []
+            assert executor._workers == []
+        finally:
+            executor.close()
 
 
 class TestMetricsMerge:

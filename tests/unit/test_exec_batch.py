@@ -1,19 +1,22 @@
 """Batched dispatch and the warm persistent pool (repro.exec)."""
 
+import concurrent.futures
+import os
+
 import pytest
 
 from repro.core.config import DetectorConfig
 from repro.exec import (
-    ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     WarmProcessExecutor,
     plan_batches,
     resolve_executor,
 )
+from repro.obs import Telemetry
 
 needs_fork = pytest.mark.skipif(
-    not ProcessExecutor.available(), reason="fork start method required"
+    not WarmProcessExecutor.available(),
+    reason="fork start method required",
 )
 
 
@@ -63,8 +66,30 @@ def _fail_odd(_context, key):
     return key * 2
 
 
+def _die_on_three(_context, key):
+    """Kill the worker outright on key 3 — a real mid-batch death."""
+    if key == 3:
+        os._exit(7)
+    return key * 2
+
+
+def _always_die(_context, _key):
+    os._exit(7)
+
+
+class Ctx:
+    """A picklable phase context."""
+
+    factor = 2
+
+
+def _scale(context, key):
+    return key * context.factor
+
+
+@needs_fork
 class TestBatchedExecutors:
-    def test_thread_batched_matches_serial(self):
+    def test_warm_batched_matches_serial(self):
         keys = list(range(17))
         reference = [
             o.value for o in SerialExecutor().run_phase(
@@ -72,30 +97,33 @@ class TestBatchedExecutors:
             )
         ]
         for batch_size in (1, 4, 16, 100):
-            executor = ThreadExecutor(4, batch_size=batch_size)
-            outcomes = executor.run_phase(None, _double, keys)
+            executor = WarmProcessExecutor(4, batch_size=batch_size)
+            try:
+                outcomes = executor.run_phase(None, _double, keys)
+            finally:
+                executor.close()
             assert [o.value for o in outcomes] == reference
-            executor.close()
 
     def test_batch_error_stays_per_key(self):
         # One crashed task must not take its batchmates down.
-        executor = ThreadExecutor(2, batch_size=8)
-        outcomes = executor.run_phase(None, _fail_odd, list(range(6)))
+        executor = WarmProcessExecutor(2, batch_size=8)
+        try:
+            outcomes = executor.run_phase(
+                None, _fail_odd, list(range(6))
+            )
+        finally:
+            executor.close()
         assert [o.value for o in outcomes] == [0, None, 4, None, 8, None]
         assert [type(o.error) for o in outcomes[1::2]] == [ValueError] * 3
-        executor.close()
 
-    @needs_fork
     def test_process_batched_roundtrip(self):
-        executor = ProcessExecutor(2, batch_size=4)
-
-        class Ctx:
-            pass
-
-        outcomes = executor.run_phase(Ctx(), _double, list(range(9)))
+        executor = WarmProcessExecutor(2, batch_size=4)
+        try:
+            outcomes = executor.run_phase(Ctx(), _scale, list(range(9)))
+        finally:
+            executor.close()
         assert [o.value for o in outcomes] == [k * 2 for k in range(9)]
         assert all(o.worker.startswith("pid-") for o in outcomes)
-        executor.close()
 
 
 @needs_fork
@@ -132,19 +160,87 @@ class TestWarmProcessExecutor:
         finally:
             executor.close()
 
-    def test_unpicklable_phase_falls_back_to_cold_path(self):
+    def test_unpicklable_phase_runs_inline(self):
         class Unpicklable:
             def __reduce__(self):
                 raise TypeError("not today")
 
-        executor = WarmProcessExecutor(2, batch_size=4)
+        telemetry = Telemetry()
+        executor = WarmProcessExecutor(
+            2, batch_size=4, telemetry=telemetry
+        )
         try:
             outcomes = executor.run_phase(
                 Unpicklable(), _double, list(range(4))
             )
-            assert [o.value for o in outcomes] == [0, 2, 4, 6]
         finally:
             executor.close()
+        assert [o.value for o in outcomes] == [0, 2, 4, 6]
+        assert all(o.worker == "main" for o in outcomes)
+        assert telemetry.metrics.value("exec.warm_fallbacks") == 1
+        assert not executor._workers  # nothing was forked for it
+
+    def test_closure_task_runs_inline(self):
+        """A task function that cannot pickle (a closure) runs on the
+        serial schedule: same outcomes, no worker, one fallback."""
+        offset = 5
+
+        def shifted(_context, key):
+            if key == 2:
+                raise ValueError("key 2 fails inline too")
+            return key + offset
+
+        keys = list(range(6))
+        reference = SerialExecutor().run_phase(None, shifted, keys)
+        telemetry = Telemetry()
+        executor = WarmProcessExecutor(2, telemetry=telemetry)
+        try:
+            outcomes = executor.run_phase(None, shifted, keys)
+        finally:
+            executor.close()
+        assert [o.value for o in outcomes] == \
+            [o.value for o in reference]
+        assert [type(o.error) for o in outcomes] == \
+            [type(o.error) for o in reference]
+        assert all(o.worker == "main" for o in outcomes)
+        assert telemetry.metrics.value("exec.warm_fallbacks") == 1
+
+    def test_death_charges_only_the_running_key(self):
+        """A worker dying on key 3 of an 8-key batch costs key 3 alone:
+        its batchmates — done-but-unshipped and not-yet-run — are
+        requeued on a replacement worker within the same phase."""
+        executor = WarmProcessExecutor(2, batch_size=8)
+        try:
+            outcomes = executor.run_phase(
+                None, _die_on_three, list(range(8))
+            )
+        finally:
+            executor.close()
+        assert [o.value for o in outcomes] == \
+            [0, 2, 4, None, 8, 10, 12, 14]
+        assert isinstance(
+            outcomes[3].error, concurrent.futures.BrokenExecutor
+        )
+        assert all(
+            o.error is None for i, o in enumerate(outcomes) if i != 3
+        )
+
+    def test_phase_drains_when_every_worker_dies(self):
+        """Deaths never strand a phase: each one charges one key and the
+        worker set is topped back up before the next dispatch."""
+        executor = WarmProcessExecutor(2, batch_size=2)
+        try:
+            outcomes = executor.run_phase(
+                None, _always_die, list(range(5))
+            )
+        finally:
+            executor.close()
+        assert len(outcomes) == 5
+        for outcome in outcomes:
+            assert isinstance(
+                outcome.error, concurrent.futures.BrokenExecutor
+            )
+            assert "died mid-batch" in str(outcome.error)
 
     def test_empty_phase(self):
         executor = WarmProcessExecutor(2)
@@ -160,10 +256,10 @@ class TestWarmProcessExecutor:
         executor.close()
 
 
+@needs_fork
 class TestResolveWarm:
-    @needs_fork
     def test_process_defaults_to_warm(self):
-        config = DetectorConfig(jobs=2, executor="process")
+        config = DetectorConfig(jobs=2)
         executor = resolve_executor(config)
         try:
             assert isinstance(executor, WarmProcessExecutor)
@@ -171,26 +267,13 @@ class TestResolveWarm:
         finally:
             executor.close()
 
-    @needs_fork
-    def test_no_warm_pool_gives_cold_process(self):
-        config = DetectorConfig(
-            jobs=2, executor="process", warm_pool=False
-        )
+    def test_pool_gets_batch_size(self):
+        config = DetectorConfig(jobs=2, batch_size=5)
         executor = resolve_executor(config)
         try:
-            assert isinstance(executor, ProcessExecutor)
-            assert not isinstance(executor, WarmProcessExecutor)
+            assert executor.batch_size == 5
         finally:
             executor.close()
-
-    def test_thread_gets_batch_size(self):
-        config = DetectorConfig(
-            jobs=2, executor="thread", batch_size=5
-        )
-        executor = resolve_executor(config)
-        assert isinstance(executor, ThreadExecutor)
-        assert executor.batch_size == 5
-        executor.close()
 
 
 class TestEnvDefaults:
@@ -207,11 +290,3 @@ class TestEnvDefaults:
     def test_xfd_batch_size_default(self, monkeypatch):
         monkeypatch.delenv("XFD_BATCH_SIZE", raising=False)
         assert DetectorConfig().batch_size == 8
-
-    def test_xfd_warm_pool(self, monkeypatch):
-        monkeypatch.delenv("XFD_WARM_POOL", raising=False)
-        assert DetectorConfig().warm_pool is True
-        monkeypatch.setenv("XFD_WARM_POOL", "0")
-        assert DetectorConfig().warm_pool is False
-        monkeypatch.setenv("XFD_WARM_POOL", "on")
-        assert DetectorConfig().warm_pool is True

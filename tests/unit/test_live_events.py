@@ -121,7 +121,7 @@ class TestNormalizedStream:
         events = [
             LiveEvent("run_started", 1, 1.0, "a",
                       {"workload": "w", "jobs": 4,
-                       "executor": "thread"}),
+                       "executor": "process"}),
             LiveEvent("heartbeat", 2, 1.5, "a", {"points_done": 1}),
             LiveEvent("worker_spawned", 3, 1.6, "a", {"worker": "x"}),
             LiveEvent("point_completed", 4, 2.0, "a",

@@ -8,7 +8,7 @@ from repro.pm.constants import PMEM_MMAP_HINT
 from repro.pm.image import CrashImageMode
 from repro.pm.memory import PersistentMemory
 from repro.pm.pool import PMPool
-from repro.trace.events import EventKind
+from repro.trace.events import KIND_CODE, EventKind
 from repro.trace.recorder import TraceRecorder
 
 
@@ -145,13 +145,18 @@ class TestTracedOperations:
         seen = []
 
         class Observer:
-            def on_event(self, event):
-                seen.append(event.kind)
+            def on_op(self, kind_code, addr, size, info, ip, tid):
+                seen.append((kind_code, addr, size))
 
         memory.add_observer(Observer())
         memory.store(pool.base, b"x")
         memory.load(pool.base, 1)
-        assert seen == [EventKind.STORE, EventKind.LOAD]
+        memory.fence()
+        assert seen == [
+            (KIND_CODE[EventKind.STORE], pool.base, 1),
+            (KIND_CODE[EventKind.LOAD], pool.base, 1),
+            (KIND_CODE[EventKind.FENCE], 0, 0),
+        ]
 
     def test_bad_access_sizes_rejected(self, memory, pool):
         with pytest.raises(PMAddressError):

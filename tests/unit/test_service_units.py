@@ -541,7 +541,14 @@ class TestHeartbeatSink:
 
 
 class TestDoctor:
-    def test_finished_job_litter_found_and_cleaned(self, tmp_path):
+    @pytest.fixture
+    def shm_dir(self, tmp_path_factory):
+        """A private segment directory: the host's /dev/shm holds other
+        processes' (and other tests') live segments, which a doctor
+        run must never see or clean here."""
+        return str(tmp_path_factory.mktemp("shm"))
+
+    def test_finished_job_litter_found_and_cleaned(self, tmp_path, shm_dir):
         from repro.service.doctor import clean_findings, diagnose
 
         store = JobStore(str(tmp_path))
@@ -555,7 +562,7 @@ class TestDoctor:
         with open(report_path, "w") as handle:
             handle.write("report\n")
 
-        findings = diagnose(str(tmp_path))
+        findings = diagnose(str(tmp_path), shm_dir)
         litter = [f for f in findings if f["kind"] == "job_litter"]
         assert [f["path"] for f in litter] == [shard_path]
 
@@ -564,7 +571,7 @@ class TestDoctor:
         assert os.path.exists(report_path)  # reports are sacred
         assert [f["path"] for f in removed] == [shard_path]
 
-    def test_unfinished_job_untouched(self, tmp_path):
+    def test_unfinished_job_untouched(self, tmp_path, shm_dir):
         from repro.service.doctor import diagnose
 
         store = JobStore(str(tmp_path))
@@ -573,7 +580,7 @@ class TestDoctor:
         store.save(record)
         shard_path = store.shard_journal_path(record.job_id, 0)
         _write_journal(shard_path, "c" * 64, [0])
-        findings = diagnose(str(tmp_path))
+        findings = diagnose(str(tmp_path), shm_dir)
         assert not any(
             f["kind"] == "job_litter" for f in findings
         )
@@ -582,7 +589,7 @@ class TestDoctor:
         ]
         assert [f["job"] for f in resumable] == [record.job_id]
 
-    def test_stale_daemon_detected(self, tmp_path):
+    def test_stale_daemon_detected(self, tmp_path, shm_dir):
         from repro.service.doctor import clean_findings, diagnose
         from repro.service.jobstore import atomic_write_json
 
@@ -592,13 +599,13 @@ class TestDoctor:
             "host": "127.0.0.1", "port": 1,
             "url": "http://127.0.0.1:1",
         })
-        findings = diagnose(str(tmp_path))
+        findings = diagnose(str(tmp_path), shm_dir)
         stale = [f for f in findings if f["kind"] == "stale_daemon"]
         assert len(stale) == 1
         clean_findings(findings)
         assert not os.path.exists(store.daemon_path())
 
-    def test_live_daemon_not_stale(self, tmp_path):
+    def test_live_daemon_not_stale(self, tmp_path, shm_dir):
         from repro.service.doctor import diagnose
         from repro.service.jobstore import atomic_write_json
 
@@ -610,18 +617,40 @@ class TestDoctor:
         })
         assert not any(
             f["kind"] == "stale_daemon"
-            for f in diagnose(str(tmp_path))
+            for f in diagnose(str(tmp_path), shm_dir)
         )
 
-    def test_orphan_job_dir_reported_not_cleaned(self, tmp_path):
+    def test_orphan_job_dir_reported_not_cleaned(self, tmp_path, shm_dir):
         from repro.service.doctor import clean_findings, diagnose
 
         store = JobStore(str(tmp_path))
         orphan = os.path.join(store.root, "jobs", "half-created")
         os.makedirs(orphan)
-        findings = diagnose(str(tmp_path))
+        findings = diagnose(str(tmp_path), shm_dir)
         assert any(
             f["kind"] == "orphan_job_dir" for f in findings
         )
         clean_findings(findings)
         assert os.path.isdir(orphan)  # needs a human
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc"), reason="procfs required"
+    )
+    def test_orphan_segment_found_and_cleaned(self, tmp_path, shm_dir):
+        from repro.service.doctor import clean_findings, diagnose
+
+        orphan = os.path.join(shm_dir, "psm_deadbeef")
+        with open(orphan, "wb") as handle:
+            handle.write(b"\0" * 4096)
+        bystander = os.path.join(shm_dir, "not_python_shm")
+        with open(bystander, "wb") as handle:
+            handle.write(b"\0")
+        findings = diagnose(str(tmp_path), shm_dir)
+        segments = [f for f in findings if f["kind"] == "shm_segment"]
+        assert segments == [
+            {"kind": "shm_segment", "path": orphan, "bytes": 4096}
+        ]
+        removed, _kept = clean_findings(findings)
+        assert segments[0] in removed
+        assert not os.path.exists(orphan)
+        assert os.path.exists(bystander)  # wrong prefix: not ours
