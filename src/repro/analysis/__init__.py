@@ -8,8 +8,6 @@ in the dynamic detector's severity taxonomy, plus:
 * :func:`analyze_trace` — the same rules over a recorded trace
   (offline mode, ``repro.trace.serialize`` format);
 * :func:`check_module` — lexical RoI/annotation hygiene checks;
-* :func:`build_prune_plan` — Silhouette-style failure-point pruning
-  facts for ``core.injector`` (``DetectorConfig.static_prune``);
 * :func:`infer_mechanisms` / :func:`analyze_mechanisms_workload` —
   trace-level mechanism inference (``repro.analysis.mech``) behind
   ``DetectorConfig.plan_mode`` and ``lint --mechanisms``;
@@ -45,11 +43,6 @@ from repro.analysis.plans import (
     CrashPlanSet,
     build_crash_plans,
 )
-from repro.analysis.pruning import (
-    PrunePlan,
-    build_prune_plan,
-    certified_lines,
-)
 from repro.analysis.rules import RULES, severity_of
 from repro.analysis.sarif import (
     findings_from_sarif,
@@ -67,14 +60,12 @@ __all__ = [
     "Finding",
     "MECH_EXPECTATIONS",
     "MechReport",
-    "PrunePlan",
     "RULES",
     "STATIC_EXPECTATIONS",
     "analyze_mechanisms_workload",
     "analyze_trace",
     "analyze_workload",
     "build_crash_plans",
-    "build_prune_plan",
     "certified_lines",
     "check_module",
     "expected_mech_rules",
@@ -86,6 +77,25 @@ __all__ = [
     "to_sarif",
     "to_sarif_json",
 ]
+
+
+def certified_lines(report):
+    """Certified lines of one analysis report: covered minus
+    uncertified minus everything inside an unsafe function span
+    (``lint`` reports their count as ``stats.lines_certified``)."""
+    certified = set(report.coverage) - set(report.uncertified)
+    if not certified:
+        return frozenset()
+    unsafe = sorted(report.unsafe_spans)
+    if unsafe:
+        certified = {
+            (file, line) for file, line in certified
+            if not any(
+                ufile == file and lo <= line <= hi
+                for ufile, lo, hi in unsafe
+            )
+        }
+    return frozenset(certified)
 
 
 def lint_workload(workload, **budgets):

@@ -84,7 +84,7 @@ class AnalysisStats:
     lines_covered: int = 0
     lines_certified: int = 0
     #: True when a budget (paths / steps / loop cap) cut exploration
-    #: short; pruning refuses to build a plan from incomplete analysis.
+    #: short; ``lines_certified`` then stays 0.
     incomplete: bool = False
 
     def to_dict(self):

@@ -15,7 +15,7 @@ re-runs the unit from scratch and is deterministic given its prefix.
 
 Deliberate approximations (documented in ``docs/static-analysis.md``):
 generators and deep recursion return fresh symbols and poison their
-function span for pruning; symbolic array indices collapse to a
+function span (none of its lines is certified); symbolic array indices collapse to a
 deterministic representative offset *within the same region base* so
 TX-protection checks still line up; a scoped persist drains only its
 own range.
@@ -503,7 +503,8 @@ class Interp:
             stack=stack if stack is not None else self._stack(),
         )
         self.findings.setdefault(finding.key(), finding)
-        # Findings poison their enclosing inline stack for pruning.
+        # Findings poison their enclosing inline stack: none of its
+        # lines is certified.
         if self.cert:
             for frame in self.frames:
                 if frame.node is not None:
@@ -650,7 +651,7 @@ class Interp:
                 # A scoped persist of an unrelated range is still a
                 # dynamic ordering point: a failure point may land on
                 # its fence while this data is in flight.  Not a
-                # finding, but the window must not be pruned.
+                # finding, but the site is not certified.
                 self._uncert_site(
                     seg.flush_site if seg.status == FLUSHED
                     else seg.store_site
@@ -2473,7 +2474,7 @@ def _m_pool_lifecycle(self, args, kwargs, created):
     base = ("root", pool_name)
     if created:
         # A fresh pool zero-initializes its root; but creating inside
-        # the measured stage is itself suspect for pruning purposes.
+        # the measured stage is itself suspect, so it is not certified.
         self.state.zeroed.add(base)
         self._mark_uncert()
     return pool
@@ -2836,6 +2837,6 @@ def analyze_workload(workload, **budgets):
 
     Returns an :class:`~repro.analysis.findings.AnalysisReport` whose
     extra ``coverage`` / ``uncertified`` / ``unsafe_spans`` attributes
-    feed :mod:`repro.analysis.pruning`.
+    feed :func:`repro.analysis.certified_lines`.
     """
     return Interp(workload, **budgets).analyze()

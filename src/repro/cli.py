@@ -106,10 +106,6 @@ def _build_parser():
                      metavar="N",
                      help="sample N extra crash states per failure "
                           "point (pmreorder-style fuzzing)")
-    run.add_argument("--static-prune", action="store_true",
-                     help="statically analyze the workload first and "
-                          "skip failure points whose interval is "
-                          "certified persistence-complete")
     run.add_argument("--plan-mode", default=None,
                      choices=("exhaustive", "mechanism", "hybrid"),
                      help="crash-plan mode: exhaustive injects every "
@@ -340,7 +336,6 @@ def _build_parser():
     submit.add_argument("--strict-image", action="store_true")
     submit.add_argument("--no-perf-bugs", action="store_true")
     submit.add_argument("--crash-states", type=int, default=0)
-    submit.add_argument("--static-prune", action="store_true")
     submit.add_argument("--plan-mode", default=None,
                         choices=("exhaustive", "mechanism", "hybrid"))
     submit.add_argument("--max-failure-points", type=int, default=None)
@@ -449,7 +444,6 @@ def _cmd_run(args):
         max_failure_points=args.max_failure_points,
         report_perf_bugs=not args.no_perf_bugs,
         crash_state_variants=args.crash_states,
-        static_prune=args.static_prune,
         audit=args.audit,
         **overrides,
     )
@@ -486,12 +480,9 @@ def _cmd_run(args):
         return status
     print(report.format(unique=not args.all_occurrences))
     stats = report.stats
-    pruned = telemetry.metrics.value("injector.pruned_static")
     print(
-        f"-- {stats.failure_points} failure points"
-        + (f" ({pruned} pruned statically)" if args.static_prune
-           else "")
-        + f", {stats.pre_trace_events} pre-trace events, "
+        f"-- {stats.failure_points} failure points, "
+        f"{stats.pre_trace_events} pre-trace events, "
         f"{stats.post_trace_events} post-trace events, "
         f"{stats.total_seconds:.2f}s "
         f"(pre {stats.pre_failure_seconds:.2f}s / "
@@ -1004,7 +995,6 @@ def _cmd_submit(args):
         "strict_image": args.strict_image,
         "report_perf_bugs": not args.no_perf_bugs,
         "crash_state_variants": args.crash_states,
-        "static_prune": args.static_prune,
     }
     if args.plan_mode is not None:
         spec["plan_mode"] = args.plan_mode

@@ -130,15 +130,6 @@ class DetectorConfig:
     #: redundant fences).
     report_perf_bugs: bool = True
 
-    #: Silhouette-style static pruning: run ``repro.analysis`` over the
-    #: workload before the pre-failure stage and skip failure points
-    #: whose interval since the last recorded one contains only PM
-    #: operations from statically certified (persistence-complete)
-    #: lines.  Conservative: an incomplete analysis prunes nothing, and
-    #: forced failure points are never pruned.  Pruned counts surface as
-    #: the ``injector.pruned_static`` metric.
-    static_prune: bool = False
-
     #: How the post-failure stage picks which failure points to
     #: execute.  ``exhaustive`` (the paper's schedule) runs every
     #: injected point; ``mechanism`` runs mechanism inference
@@ -168,9 +159,6 @@ class DetectorConfig:
     #: excluded from the journal checksum — so every shard of a job
     #: writes journals that merge into one resumable run.
     failure_point_window: tuple | None = None
-
-    #: Stop after the first cross-failure bug (useful interactively).
-    fail_fast: bool = False
 
     #: Worker-pool width for the post-failure execution and replay
     #: phases (``repro.exec``).  1 (the default) runs the serial

@@ -7,7 +7,7 @@ import dataclasses
 from repro._location import UNKNOWN_LOCATION
 from repro.core.config import DetectorConfig
 from repro.core.frontend import Frontend
-from repro.core.replay import StopAnalysis, TraceReplayer, lower_trace
+from repro.core.replay import TraceReplayer, lower_trace
 from repro.core.report import Bug, BugKind, DetectionReport
 from repro.core.shadow import ShadowCheckpointCache, ShadowPM
 from repro.exec.base import (
@@ -53,9 +53,9 @@ class XFDetector:
     its checkpoint — independent tasks a ``repro.exec`` executor can
     fan out.  Bugs are merged back in the schedule the classic
     interleaved replay would have produced, so reports are
-    byte-identical regardless of ``config.jobs``.  Audit and fail-fast
-    runs use the interleaved replay directly (the audit log records the
-    in-process schedule; fail-fast stops mid-schedule).
+    byte-identical regardless of ``config.jobs``.  Audit runs use the
+    interleaved replay directly (the audit log records the in-process
+    schedule).
     """
 
     def __init__(self, config=None):
@@ -146,7 +146,7 @@ class XFDetector:
         )
 
         try:
-            if self.config.fail_fast or tel.audit is not None:
+            if tel.audit is not None:
                 self._analyze_interleaved(
                     frontend_result, ordered_runs, report
                 )
@@ -166,7 +166,7 @@ class XFDetector:
         tel.metrics.gauge("benign_race_reads").set(stats.benign_races)
         return report
 
-    # -- interleaved replay (audit / fail-fast) -------------------------
+    # -- interleaved replay (audit) -------------------------------------
 
     def _analyze_interleaved(self, frontend_result, ordered_runs,
                              report):
@@ -203,25 +203,20 @@ class XFDetector:
                 shadow, self.config, "pre", report,
                 has_roi=pre_has_roi, metrics=tel.metrics,
             )
-            try:
-                for event in frontend_result.pre_recorder:
-                    if event.kind is EventKind.FAILURE_POINT:
-                        for run in post_by_fid.get(int(event.info), []):
-                            stats.post_runs_analyzed += 1
-                            cursor = len(report.bugs)
-                            self._analyze_failure_point(
-                                shadow, report, run
-                            )
-                            for bug in report.bugs[cursor:]:
-                                _emit_finding(tel, bug)
-                            tel.emit(
-                                "point_completed", phase="backend",
-                                fid=run.failure_point.fid,
-                                variant=run.variant,
-                            )
-                    pre_replayer.process(event)
-            except StopAnalysis:
-                pass
+            for event in frontend_result.pre_recorder:
+                if event.kind is EventKind.FAILURE_POINT:
+                    for run in post_by_fid.get(int(event.info), []):
+                        stats.post_runs_analyzed += 1
+                        cursor = len(report.bugs)
+                        self._analyze_failure_point(shadow, report, run)
+                        for bug in report.bugs[cursor:]:
+                            _emit_finding(tel, bug)
+                        tel.emit(
+                            "point_completed", phase="backend",
+                            fid=run.failure_point.fid,
+                            variant=run.variant,
+                        )
+                pre_replayer.process(event)
 
         # The per-point deltas above covered every bug carrying a
         # failure point; pre-failure findings (perf bugs found between

@@ -197,26 +197,20 @@ class Frontend:
     def run(self, workload):
         tel = self.telemetry
         journal = RunJournal.from_config(self.config)
-        if journal is not None and (
-            getattr(self.config, "audit", False)
-            or getattr(self.config, "fail_fast", False)
-        ):
+        if journal is not None and getattr(self.config, "audit", False):
             # The interleaved backend replays everything inline; there
             # is no per-point completion to journal, and a spliced
-            # resume would falsify the audit log / fail-fast schedule.
+            # resume would falsify the audit log.
             raise DetectorError(
                 "run journaling (--journal/--resume) is not supported "
-                "with audit or fail_fast"
+                "with audit"
             )
         pre_recorder = TraceRecorder("pre")
         memory = PersistentMemory(
             pre_recorder, self.config.capture_ips,
             platform=self.config.platform,
         )
-        prune_plan = self._build_prune_plan(workload, tel)
-        injector = FailureInjector(
-            self.config, telemetry=tel, prune_plan=prune_plan
-        )
+        injector = FailureInjector(self.config, telemetry=tel)
         memory.add_ordering_listener(injector)
         memory.add_observer(injector)
         uses_roi = getattr(workload, "uses_roi", False)
@@ -300,30 +294,6 @@ class Frontend:
             plan_set=plan_set,
             mech_report=mech_report,
         )
-
-    def _build_prune_plan(self, workload, tel):
-        """The static prune plan for this run, or None.
-
-        Imported lazily so the detector has no hard dependency on the
-        analyzer; any analysis failure degrades to "prune nothing".
-        """
-        if not getattr(self.config, "static_prune", False):
-            return None
-        with tel.span("static_analysis"):
-            try:
-                from repro.analysis.pruning import build_prune_plan
-
-                plan = build_prune_plan(workload)
-            except Exception:
-                return None
-        if plan is None:
-            return None
-        tel.metrics.gauge("analysis.certified_lines").set(len(plan))
-        if plan.report is not None:
-            tel.metrics.gauge("analysis.findings").set(
-                len(plan.report.findings)
-            )
-        return plan
 
     def _build_crash_plans(self, workload_name, pre_recorder,
                            injector, tel):

@@ -60,18 +60,11 @@ class FailurePoint:
 class FailureInjector:
     """Ordering-point listener + trace observer for the pre-failure run."""
 
-    def __init__(self, config, telemetry=None, prune_plan=None,
-                 snapshot_store=None):
+    def __init__(self, config, telemetry=None, snapshot_store=None):
         self.config = config
         #: Optional ``repro.obs.Telemetry``: counts injected failure
         #: points and times pool snapshots.
         self.telemetry = telemetry
-        #: Optional ``repro.analysis.pruning.PrunePlan``: skip ordering
-        #: points whose interval since the last recorded failure point
-        #: contains only PM operations from certified lines.
-        self.prune_plan = prune_plan
-        #: How many ordering points static pruning skipped.
-        self.pruned_static = 0
         #: Delta snapshot store shared by every failure point of this
         #: run (workers materialize crash images from it on demand).
         #: Fingerprints ride along when dedup is on, so the frontend
@@ -92,11 +85,6 @@ class FailureInjector:
         # point; the first ordering point after startup only fires if
         # data was actually touched.
         self._ops_pending = False
-        # True once a PM data operation since the last *recorded*
-        # failure point came from a line the plan does not certify.
-        # Pruned points keep accumulating (intervals merge), so the
-        # flag only resets when a failure point is actually recorded.
-        self._uncertified_pending = False
 
     def seal(self):
         """End the injection window: freeze the snapshot store.
@@ -130,18 +118,10 @@ class FailureInjector:
     # -- trace observer ------------------------------------------------
 
     def on_op(self, kind_code, addr, size, info, ip, tid):
-        """Note a pending PM data operation (and whether its call site
-        is statically certified); see
+        """Note a pending PM data operation; see
         ``PersistentMemory.add_observer``."""
         if kind_code in PM_DATA_CODES:
             self._ops_pending = True
-            if self.prune_plan is not None:
-                if ip is None:
-                    from repro._location import UNKNOWN_LOCATION
-
-                    ip = UNKNOWN_LOCATION
-                if not self.prune_plan.certifies(ip):
-                    self._uncertified_pending = True
 
     # -- ordering listener ----------------------------------------------
 
@@ -158,34 +138,13 @@ class FailureInjector:
             and not force
         ):
             return
-        # Static pruning: every PM operation since the last recorded
-        # failure point came from a certified (statically proven
-        # persistence-complete) line, so the crash image here differs
-        # from the previous one only by fully-persisted, fully-logged
-        # updates — the post-failure run would observe nothing new.
-        # Never prunes forced points or the first point of a run.
-        if (
-            self.prune_plan is not None
-            and not force
-            and self.failure_points
-            and not self._uncertified_pending
-        ):
-            self.pruned_static += 1
-            if self.telemetry is not None:
-                self.telemetry.metrics.inc("injector.pruned_static")
-            return
         limit = self.config.max_failure_points
         if limit is not None and len(self.failure_points) >= limit:
             return
         fid = len(self.failure_points)
         memory.emit_marker(EventKind.FAILURE_POINT, info=str(fid))
         started = time.perf_counter()
-        if hasattr(memory, "snapshot_delta"):
-            memory.snapshot_delta(self.store)
-        else:
-            # Memories without delta support (e.g. test fakes) fall
-            # back to recording their full images.
-            self.store.capture_full(memory.snapshot_images())
+        memory.snapshot_delta(self.store)
         elapsed = time.perf_counter() - started
         self.snapshot_seconds += elapsed
         if self.telemetry is not None:
@@ -217,4 +176,3 @@ class FailureInjector:
         if emit is not None:
             emit("point_injected", fid=fid, reason=reason)
         self._ops_pending = False
-        self._uncertified_pending = False

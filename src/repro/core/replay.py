@@ -41,10 +41,6 @@ from repro.trace.events import KIND_BY_CODE, KIND_CODE, EventKind
 _CLFLUSH_INFO = FlushKind.CLFLUSH.value
 
 
-class StopAnalysis(Exception):
-    """Internal: raised to unwind when ``fail_fast`` found a bug."""
-
-
 class _ThreadReplayState:
     """Per-thread replay state (library depth, active transaction)."""
 
@@ -178,11 +174,6 @@ class TraceReplayer:
         if self.metrics is not None:
             self.metrics.inc("bugs_reported_total")
             self.metrics.inc(f"bugs_reported.{kind.name.lower()}")
-        if self.config.fail_fast and kind in (
-            BugKind.CROSS_FAILURE_RACE,
-            BugKind.CROSS_FAILURE_SEMANTIC,
-        ):
-            raise StopAnalysis()
 
     # ------------------------------------------------------------------
     # Instruction dispatch

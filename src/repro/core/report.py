@@ -72,9 +72,10 @@ class DetectionStats:
     pre_trace_events: int = 0
     post_trace_events: int = 0
     #: Post-failure runs the backend actually replayed.  Can be lower
-    #: than the number of runs when ``fail_fast`` stopped the analysis
-    #: early (``post_trace_events`` still counts every produced run —
-    #: the orphan count surfaces as the ``orphaned_post_runs`` metric).
+    #: than the number of runs when a replay was quarantined or a run's
+    #: failure point has no marker in the pre-failure trace
+    #: (``post_trace_events`` still counts every produced run — the
+    #: marker-less count surfaces as the ``orphaned_post_runs`` metric).
     post_runs_analyzed: int = 0
     #: Post-failure executions skipped by crash-image dedup (their
     #: findings were cloned from a class representative).

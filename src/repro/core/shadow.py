@@ -712,8 +712,7 @@ class ShadowCheckpointCache:
     a fallback replay at a skipped marker.
 
     Dict-like on purpose: worker task bodies index it exactly like the
-    plain ``{fid: ShadowPM}`` dict it replaces.  The rebuild path is
-    locked — thread-pool workers may race on a miss.
+    plain ``{fid: ShadowPM}`` dict it replaces.
     """
 
     def __init__(self, rebuild=None):

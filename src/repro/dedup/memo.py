@@ -8,8 +8,8 @@ time on construction.  Consecutive failure points differ by a handful
 of cache lines, so almost all of that copying rewrites identical
 bytes.
 
-An :class:`ImageMemo` keeps, per worker (one per thread; forked
-process workers build their own on first use):
+An :class:`ImageMemo` keeps, per worker (the serial schedule uses the
+main process's; each forked pool worker builds its own on first use):
 
 * a :class:`~repro.pm.snapshot.SnapshotCursor` — the canonical
   program-view and persisted images, advanced delta-by-delta;
@@ -152,10 +152,8 @@ def _restore(working, canonical, ranges):
     return sum(e - s for s, e in merged)
 
 
-#: One memo per worker thread.  Thread-pool workers each get their own
-#: (waves rebuild pools, so fresh threads simply start a fresh memo);
-#: forked process workers inherit the parent's *empty* main-thread
-#: state and likewise build their own on first task.
+#: One memo per thread.  Forked pool workers inherit the parent's
+#: *empty* state and build their own on first task.
 _local = threading.local()
 
 

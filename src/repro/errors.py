@@ -128,9 +128,9 @@ class HarnessError(ReproError):
 class ChaosCrash(HarnessError):
     """A synthetic worker fault injected by chaos mode (``XFD_CHAOS``).
 
-    Simulates an abrupt worker death on executors that cannot actually
-    lose a process (serial, threads); forked process workers simulate
-    the real thing with ``os._exit`` instead.  Transient by
+    Simulates an abrupt worker death on the serial executor, which
+    cannot actually lose a process; warm pool workers simulate the real
+    thing with ``os._exit`` instead.  Transient by
     definition — a retry gets a fresh attempt number and a fresh
     chaos roll.
     """

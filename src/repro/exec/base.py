@@ -116,11 +116,9 @@ def resolve_executor(config, telemetry=None):
     """The executor for one detection run, from ``config.jobs``.
 
     Serial runs when ``jobs <= 1``, when the platform has no ``fork``
-    start method, and for two configurations whose semantics are
-    inherently sequential: ``audit`` (the audit log and span tree
-    record the in-process schedule) and ``fail_fast`` (the backend
-    stops mid-schedule at the first cross-failure bug).  Every other
-    run gets the warm process pool.
+    start method, and under ``audit``, whose audit log and span tree
+    record the in-process schedule.  Every other run gets the warm
+    process pool.
     """
     from repro.exec.pool import WarmProcessExecutor
 
@@ -128,7 +126,6 @@ def resolve_executor(config, telemetry=None):
     if (
         jobs <= 1
         or getattr(config, "audit", False)
-        or getattr(config, "fail_fast", False)
         or not WarmProcessExecutor.available()
     ):
         return SerialExecutor()

@@ -11,8 +11,8 @@ runs the post-failure stage — by replaying the line deltas forward
 from the base over an incremental cursor.
 
 The store is append-only during the pre-failure stage and read-only
-afterwards, so worker threads can materialize concurrently (the cursor
-is guarded by a lock) and forked worker processes inherit it wholesale.
+afterwards, so forked pool workers can materialize from it (attached
+through shared memory) while the serial schedule reads it in place.
 The ``bytes_saved`` accounting backs the ``snapshot_bytes_saved``
 metric: how many bytes the legacy full-copy scheme would have recorded
 minus what the deltas actually hold.
@@ -214,8 +214,9 @@ class SnapshotStore:
         return fid
 
     def capture_full(self, images):
-        """Fallback for memories without delta support: record already-
-        captured full ``PMImage``s as-is (saves nothing)."""
+        """Record already-captured full ``PMImage``s as-is (saves
+        nothing): a store built from hand-made images, without a
+        ``PersistentMemory`` run."""
         self._check_mutable()
         deltas = []
         for image in images:

@@ -93,7 +93,14 @@ class Scheduler:
             record = self.store.load(job_id)
             if record.finished:
                 continue
-            spec = self.store.load_spec(job_id)
+            try:
+                spec = self.store.load_spec(job_id)
+            except SpecError as exc:
+                # A spec persisted by an older version can name a knob
+                # this one dropped: fail that job, keep the daemon up.
+                record.advance("FAILED", f"spec no longer loads: {exc}")
+                self.store.save(record)
+                continue
             recovered = 0
             for shard in record.shards:
                 if shard.status == "running":

@@ -11,12 +11,8 @@ backend; they can also be serialized to text for offline analysis.
 from repro.trace.events import EventKind, TraceEvent
 from repro.trace.recorder import TraceRecorder
 from repro.trace.serialize import (
-    dump_packed,
     format_event,
     format_trace,
-    is_packed,
-    load_packed,
-    load_trace,
     parse_event,
     parse_trace,
 )
@@ -25,12 +21,8 @@ __all__ = [
     "EventKind",
     "TraceEvent",
     "TraceRecorder",
-    "dump_packed",
     "format_event",
     "format_trace",
-    "is_packed",
-    "load_packed",
-    "load_trace",
     "parse_event",
     "parse_trace",
 ]

@@ -1,35 +1,20 @@
-"""Trace serialization: v1 text lines and v2 packed binary.
+"""Trace serialization: the v1 text line format.
 
 The original tool streams trace entries from the Pin frontend to the
 backend through FIFOs; this reproduction keeps traces in memory, but
-offers two on-disk formats so traces can be dumped, diffed, and
+offers an on-disk format so traces can be dumped, diffed, and
 re-analysed offline — the "trace-analysis prototype" workflow.
 
-**v1 (text)** — one event per line, space-separated, ``|`` separates
-the source location which may itself contain spaces::
+One event per line, space-separated, ``|`` separates the source
+location which may itself contain spaces::
 
     <seq> <KIND> <addr-hex> <size> <tid> <info-or-dash> | \
         <file>:<line>:<function>
-
-**v2 (packed binary)** — the recorder's columnar layout written out
-directly: six little-endian scalar columns followed by the interned
-info-string and call-site tables.  Dumping is a handful of
-``array.tobytes`` calls instead of per-event string formatting, the
-interned tables are written once instead of repeating every call site
-per line, and loading rebuilds a columnar recorder without
-materializing events.  See :func:`dump_packed` for the exact layout.
-
-:func:`load_trace` auto-detects which format it was handed, so readers
-written against v1 text keep working unchanged.
 """
 
 from __future__ import annotations
 
-import struct
-import sys
-from array import array
-
-from repro._location import UNKNOWN_LOCATION, SourceLocation, intern_location
+from repro._location import UNKNOWN_LOCATION, SourceLocation
 from repro.trace.events import EventKind, TraceEvent
 
 
@@ -85,156 +70,3 @@ def parse_trace(text):
         events.append(parse_event(line))
     return events
 
-
-# ----------------------------------------------------------------------
-# v2 packed binary format
-# ----------------------------------------------------------------------
-
-#: v2 file magic; the trailing byte is the format version.
-PACKED_MAGIC = b"XFDTRC\x00\x02"
-
-_HEADER = struct.Struct("<8sBII")  # magic, has_roi, n_events, reserved
-_U32 = struct.Struct("<I")
-
-# Column element types, in file order.  Arrays are written
-# little-endian; on big-endian hosts they are byteswapped around
-# tobytes/frombytes.
-_COLUMN_TYPES = ("B", "Q", "Q", "H", "I", "I")
-_SWAP = sys.byteorder == "big"
-
-
-def _write_str(out, text):
-    data = text.encode("utf-8")
-    out.append(_U32.pack(len(data)))
-    out.append(data)
-
-
-def _read_str(buf, offset):
-    (length,) = _U32.unpack_from(buf, offset)
-    offset += 4
-    return buf[offset:offset + length].decode("utf-8"), offset + length
-
-
-def dump_packed(source):
-    """Serialize a trace to v2 packed bytes.
-
-    ``source`` is a :class:`~repro.trace.recorder.TraceRecorder` (fast
-    path: its columns are written directly) or any iterable of
-    :class:`TraceEvent` (a throwaway recorder is filled first).
-
-    Layout, all integers little-endian::
-
-        8s   magic "XFDTRC\\x00\\x02"
-        B    has_roi flag
-        I    event count n
-        I    reserved (zero)
-        str  stage ("pre"/"post"; u32 length + utf-8 bytes)
-        n*1  kind codes        (u8)
-        n*8  addresses         (u64)
-        n*8  sizes             (u64)
-        n*2  thread ids        (u16)
-        n*4  info-table index  (u32)
-        n*4  ip-table index    (u32)
-        I    info table count, then per entry: str
-        I    ip table count, then per entry: str file, I line, str func
-    """
-    from repro.trace.recorder import TraceRecorder
-
-    recorder = source
-    if not isinstance(source, TraceRecorder):
-        recorder = TraceRecorder()
-        for event in source:
-            ip = event.ip
-            recorder.append(
-                event.kind, event.addr, event.size, event.info,
-                None if ip is UNKNOWN_LOCATION else ip, tid=event.tid,
-            )
-    columns = (
-        recorder._kinds, recorder._addrs, recorder._sizes,
-        recorder._tids, recorder._info_idx, recorder._ip_idx,
-    )
-    out = [_HEADER.pack(
-        PACKED_MAGIC, 1 if recorder.has_roi else 0, len(recorder), 0
-    )]
-    _write_str(out, recorder.stage)
-    for column in columns:
-        if _SWAP and column.itemsize > 1:
-            column = array(column.typecode, column)
-            column.byteswap()
-        out.append(column.tobytes())
-    infos = recorder._infos
-    out.append(_U32.pack(len(infos)))
-    for info in infos:
-        _write_str(out, info)
-    ips = recorder._ips
-    out.append(_U32.pack(len(ips)))
-    for ip in ips:
-        _write_str(out, ip.filename)
-        out.append(_U32.pack(ip.lineno))
-        _write_str(out, ip.function)
-    return b"".join(out)
-
-
-def load_packed(data):
-    """Parse v2 packed bytes back into a
-    :class:`~repro.trace.recorder.TraceRecorder`."""
-    from repro.trace.recorder import TraceRecorder
-
-    if not is_packed(data):
-        raise ValueError("not a v2 packed trace (bad magic)")
-    magic, has_roi, count, _reserved = _HEADER.unpack_from(data, 0)
-    offset = _HEADER.size
-    stage, offset = _read_str(data, offset)
-    columns = []
-    for typecode in _COLUMN_TYPES:
-        column = array(typecode)
-        width = column.itemsize * count
-        column.frombytes(data[offset:offset + width])
-        if _SWAP and column.itemsize > 1:
-            column.byteswap()
-        offset += width
-        columns.append(column)
-    (n_infos,) = _U32.unpack_from(data, offset)
-    offset += 4
-    infos = []
-    for _ in range(n_infos):
-        info, offset = _read_str(data, offset)
-        infos.append(info)
-    (n_ips,) = _U32.unpack_from(data, offset)
-    offset += 4
-    ips = []
-    for _ in range(n_ips):
-        filename, offset = _read_str(data, offset)
-        (lineno,) = _U32.unpack_from(data, offset)
-        offset += 4
-        function, offset = _read_str(data, offset)
-        ips.append(intern_location(filename, lineno, function))
-    recorder = TraceRecorder(stage=stage)
-    # Restore through __setstate__: it rebuilds the intern tables and
-    # rebinds the column append methods in one place.
-    recorder.__setstate__((
-        stage, bool(has_roi), columns[0], columns[1], columns[2],
-        columns[3], columns[4], columns[5], infos, ips,
-    ))
-    return recorder
-
-
-def is_packed(data):
-    """True if ``data`` (bytes) begins with the v2 packed magic."""
-    return isinstance(data, (bytes, bytearray, memoryview)) \
-        and bytes(data[:8]) == PACKED_MAGIC
-
-
-def load_trace(data):
-    """Load a trace from either format, auto-detecting.
-
-    v2 packed bytes are recognised by magic; anything else (str, or
-    bytes of v1 text) goes through the line parser.  Returns a list of
-    :class:`TraceEvent` either way, so existing v1 readers can be
-    pointed at v2 files unchanged.
-    """
-    if is_packed(data):
-        return load_packed(bytes(data)).events
-    if isinstance(data, (bytes, bytearray, memoryview)):
-        data = bytes(data).decode("utf-8")
-    return parse_trace(data)

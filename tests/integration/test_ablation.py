@@ -1,6 +1,6 @@
 """Ablations of the detector's design knobs (DetectorConfig)."""
 
-from repro.core import BugKind, DetectorConfig, XFDetector
+from repro.core import DetectorConfig, XFDetector
 from repro.pm.image import CrashImageMode
 from repro.workloads import HashmapAtomicWorkload, LinkedListWorkload
 
@@ -97,18 +97,3 @@ class TestCrashImageModes:
             )
         ).run(PoolCreationWorkload())
         assert strict.crashes
-
-
-class TestFailFast:
-    def test_fail_fast_stops_at_first_bug(self):
-        full = XFDetector(DetectorConfig()).run(naive_list())
-        fast = XFDetector(DetectorConfig(fail_fast=True)).run(
-            naive_list()
-        )
-        cross = [
-            b for b in fast.bugs
-            if b.kind in (BugKind.CROSS_FAILURE_RACE,
-                          BugKind.CROSS_FAILURE_SEMANTIC)
-        ]
-        assert len(cross) == 1
-        assert len(full.bugs) >= len(fast.bugs)

@@ -66,11 +66,6 @@ class TestJournalRecording:
         with pytest.raises(DetectorError):
             _run(journal=path, audit=True)
 
-    def test_journal_refused_under_fail_fast(self, tmp_path):
-        path = str(tmp_path / "run.ndjson")
-        with pytest.raises(DetectorError):
-            _run(journal=path, fail_fast=True)
-
 
 class TestResume:
     def test_full_resume_reproduces_the_report(self, tmp_path):

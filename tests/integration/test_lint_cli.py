@@ -170,12 +170,3 @@ class TestRunExitCodes:
         payload = json.loads(capsys.readouterr().out)
         assert payload["bugs"] == []
         assert code == 0
-
-    def test_static_prune_flag_prints_pruned_count(self, capsys):
-        code = main([
-            "run", "btree", "--init", "2", "--test", "3",
-            "--static-prune",
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "pruned statically" in out

@@ -8,8 +8,11 @@ allowed to change.
 """
 
 from repro.core import DetectorConfig, XFDetector
+from repro.core.frontend import Frontend, FrontendResult, PostRun
+from repro.core.injector import FailurePoint
 from repro.exec import WarmProcessExecutor
 from repro.obs import run_records
+from repro.trace.recorder import TraceRecorder
 from repro.workloads import HashmapAtomicWorkload, HashmapTxWorkload
 
 #: Pool widths compared: serial, plus the warm pool where fork exists.
@@ -164,20 +167,35 @@ class TestVariantExhaustion:
         )
 
 
-class TestFailFastAccounting:
+class TestOrphanAccounting:
     def test_orphaned_runs_are_counted(self):
-        config = DetectorConfig(fail_fast=True)
-        report = XFDetector(config).run(
+        """A post run whose failure point has no marker in the
+        pre-failure trace is never replayed; the ``orphaned_post_runs``
+        gauge counts it and ``post_runs_analyzed`` leaves it out."""
+        config = DetectorConfig()
+        result = Frontend(config).run(
             HashmapAtomicWorkload(
                 faults={"skip_persist_count"}, test_size=3
             )
         )
+        unmarked = FailurePoint(
+            fid=len(result.failure_points), reason="hand-built",
+            trace_index=len(result.pre_recorder), store=None,
+        )
+        hand_built = FrontendResult(
+            workload_name=result.workload_name,
+            pre_recorder=result.pre_recorder,
+            failure_points=result.failure_points,
+            post_runs=result.post_runs + [
+                PostRun(unmarked, TraceRecorder("post"))
+            ],
+        )
+        report = XFDetector(config).analyze(hand_built)
         stats = report.stats
-        total_runs = report.telemetry.metrics.value("post_runs")
         orphaned = report.telemetry.metrics.value("orphaned_post_runs")
         assert report.has_cross_failure_bugs
-        assert stats.post_runs_analyzed < total_runs
-        assert orphaned == total_runs - stats.post_runs_analyzed
+        assert orphaned == 1
+        assert stats.post_runs_analyzed == len(result.post_runs)
         assert (
             report.to_dict()["stats"]["post_runs_analyzed"]
             == stats.post_runs_analyzed

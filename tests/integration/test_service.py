@@ -297,6 +297,27 @@ class TestShardedJobs:
             scheduler.close()
 
 
+class TestStartup:
+    def test_unloadable_spec_fails_its_job(self, tmp_path):
+        """An unfinished job whose persisted spec names a knob this
+        version dropped fails on startup; the daemon still starts."""
+        store = JobStore(str(tmp_path))
+        job_id = store.create(JobSpec.from_dict(BTREE)).job_id
+        with open(store.spec_path(job_id)) as handle:
+            spec = json.load(handle)
+        spec["static_prune"] = False
+        with open(store.spec_path(job_id), "w") as handle:
+            json.dump(spec, handle)
+        store, scheduler = _scheduler(tmp_path)
+        try:
+            record = store.load(job_id)
+            assert record.state == "FAILED" and record.finished
+            assert "static_prune" in record.detail
+            assert job_id not in scheduler.jobs
+        finally:
+            scheduler.close()
+
+
 class TestDrain:
     def test_drain_journals_and_resume_completes(self, tmp_path):
         store, scheduler = _scheduler(tmp_path)

@@ -8,7 +8,6 @@ import pytest
 from repro.analysis import (
     analyze_trace,
     analyze_workload,
-    build_prune_plan,
     check_module,
     lint_workload,
 )
@@ -173,26 +172,6 @@ class TestInterpreterRules:
         assert finding.location.endswith(f":{finding.line}")
 
 
-class TestPrunePlan:
-    def test_clean_workload_builds_a_plan(self):
-        plan = build_prune_plan(CleanStorePersist())
-        assert plan is not None
-        assert len(plan) > 0
-
-    def test_flagged_workload_builds_no_plan(self):
-        # Any finding disables pruning: flagged code may leave data
-        # unpersisted arbitrarily early, so no window is safe.
-        assert build_prune_plan(UnflushedStore()) is None
-
-    def test_plan_certifies_only_known_lines(self):
-        from repro._location import SourceLocation
-
-        plan = build_prune_plan(CleanStorePersist())
-        assert not plan.certifies(
-            SourceLocation("nowhere.py", 1, "f")
-        )
-
-
 HYGIENE_UNBALANCED = '''
 def pre(ctx):
     ctx.interface.roi_begin()
@@ -271,3 +250,8 @@ class TestLintWorkload:
         report = lint_workload(UnflushedStore())
         assert "XF-P001" in {f.rule for f in report.findings}
         assert report.stats.lines_covered > 0
+
+    def test_lint_counts_certified_lines(self):
+        stats = lint_workload(CleanStorePersist()).stats
+        assert not stats.incomplete
+        assert 0 < stats.lines_certified <= stats.lines_covered

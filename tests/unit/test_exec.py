@@ -77,10 +77,6 @@ class TestResolveExecutor:
         config = DetectorConfig(jobs=4, audit=True)
         assert isinstance(resolve_executor(config), SerialExecutor)
 
-    def test_fail_fast_forces_serial(self):
-        config = DetectorConfig(jobs=4, fail_fast=True)
-        assert isinstance(resolve_executor(config), SerialExecutor)
-
     def test_process_when_fork_available(self):
         executor = resolve_executor(DetectorConfig(jobs=2))
         try:
@@ -100,25 +96,20 @@ class TestResolveExecutor:
             executor.close()
 
     @pytest.mark.parametrize("fork", [True, False])
-    @pytest.mark.parametrize("fail_fast", [False, True])
     @pytest.mark.parametrize("audit", [False, True])
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_resolution_table(self, monkeypatch, jobs, audit,
-                              fail_fast, fork):
-        """The warm pool runs exactly when ``jobs > 1``, neither audit
-        nor fail-fast asks for the in-process schedule, and the
-        platform can fork; everything else is serial."""
+    def test_resolution_table(self, monkeypatch, jobs, audit, fork):
+        """The warm pool runs exactly when ``jobs > 1``, audit does not
+        ask for the in-process schedule, and the platform can fork;
+        everything else is serial."""
         if fork and not HAS_FORK:
             pytest.skip("fork start method required")
         monkeypatch.setattr(
             WarmProcessExecutor, "available", staticmethod(lambda: fork)
         )
-        config = DetectorConfig(
-            jobs=jobs, audit=audit, fail_fast=fail_fast
-        )
-        executor = resolve_executor(config)
+        executor = resolve_executor(DetectorConfig(jobs=jobs, audit=audit))
         try:
-            warm = jobs > 1 and not audit and not fail_fast and fork
+            warm = jobs > 1 and not audit and fork
             expected = WarmProcessExecutor if warm else SerialExecutor
             assert type(executor) is expected
             assert executor.kind == ("process" if warm else "serial")

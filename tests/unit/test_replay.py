@@ -268,16 +268,3 @@ class TestTxReplaySemantics:
         post.process(ev(rec, EventKind.LOAD, 0x1000, 8, ip=R))
         assert len(report.races) == 1
         assert report.semantic_bugs == []
-
-    def test_fail_fast_stops_analysis(self):
-        from repro.core.replay import StopAnalysis
-
-        import pytest
-
-        config = DetectorConfig(fail_fast=True)
-        shadow, report, pre, _ = make_replayers(config)
-        rec = TraceRecorder()
-        pre.process(ev(rec, EventKind.STORE, 0x1000, 8, ip=W))
-        post = post_replayer(shadow, report, config)
-        with pytest.raises(StopAnalysis):
-            post.process(ev(rec, EventKind.LOAD, 0x1000, 8, ip=R))

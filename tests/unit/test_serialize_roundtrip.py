@@ -8,6 +8,7 @@ locations.
 """
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,8 @@ from repro.trace.serialize import (
     parse_event,
     parse_trace,
 )
+
+_FIXTURE = Path(__file__).resolve().parents[1] / "fixtures" / "trace_v1.txt"
 
 #: Kind-typical info payloads, several containing spaces (the trailing
 #: free-form field of the line format).
@@ -120,3 +123,17 @@ class TestTraceRoundTrip:
             parse_event("0 STORE 0x10 8 0 -")  # no location separator
         with pytest.raises(ValueError):
             parse_event("0 STORE 0x10 | f.py:1:f")  # missing fields
+
+
+class TestV1FixtureCompat:
+    def test_fixture_parses(self):
+        events = parse_trace(_FIXTURE.read_text())
+        assert len(events) == 13
+        assert events[0].kind is EventKind.ROI_BEGIN
+        assert events[0].ip is UNKNOWN_LOCATION
+        assert events[3].kind is EventKind.STORE
+        assert events[3].addr == 0x10000000
+        assert events[8].info == "atomic word write"
+        assert events[8].ip.filename == "/a b/odd path.py"
+        assert events[8].ip.function == "Cls.method.<locals>.inner"
+        assert events[11].info == "valid flag"

@@ -52,6 +52,12 @@ class TestJobSpec:
         with pytest.raises(SpecError):
             JobSpec.from_dict({"workload": "btree", "bogus": 1})
 
+    def test_removed_static_prune_field_refused(self):
+        # Static pruning is gone; a client still sending the knob gets
+        # a validation error, not a silently exhaustive run.
+        with pytest.raises(SpecError):
+            JobSpec.from_dict({"workload": "btree", "static_prune": True})
+
     def test_bad_label_refused(self):
         with pytest.raises(SpecError):
             JobSpec(workload="btree", label="no spaces allowed")
