@@ -117,7 +117,6 @@ def run_original(workload):
         memory=memory,
         interface=XFInterface(memory),
         stage="pre",
-        options={},
     )
     started = time.perf_counter()
     workload.setup(context)

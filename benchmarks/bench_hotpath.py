@@ -2,21 +2,15 @@
 
 Every other speedup in the repo (exec parallelism, dedup, mechanism
 pruning, warm pools) multiplies the serial per-PM-op cost; this
-benchmark tracks that cost directly.  Two gates:
+benchmark tracks that cost directly: full detection of ``hashmap_tx``
+@ 30 pre-failure transactions, jobs=1, dedup on (the acceptance
+configuration), timed best-of-N and compared against the measured
+pre-change baseline recorded in :data:`PRECHANGE_BASELINE`.  Ops/sec
+and the per-phase split land in ``BENCH_hotpath.json``.
 
-* **Speedup** — full detection of ``hashmap_tx`` @ 30 pre-failure
-  transactions, jobs=1, dedup on (the acceptance configuration), timed
-  best-of-N and compared against the measured pre-change baseline
-  recorded in :data:`PRECHANGE_BASELINE`.  Ops/sec and the per-phase
-  split land in ``BENCH_hotpath.json``.
-
-* **Byte identity** — the optimized engine (columnar recorder, compiled
-  replay programs, coalescing/memoized ShadowPM) against the retained
-  reference engine: ``DetectorConfig(audit=True)`` forces the
-  event-object interleaved replay and disables every shadow fast path
-  (coalescing and memo lookups are bypassed whenever an audit sink is
-  attached).  Reports must match byte-for-byte, timings aside, on the
-  full Table 4 microbenchmark set (tiny sizes, so CI can afford it).
+Correctness is not gated here: the tier-1 oracle suite
+(``tests/integration/test_oracle.py``) checks every workload's bug list
+against a naive whole-detector oracle.
 
 Run with ``--benchmark-only``::
 
@@ -26,8 +20,6 @@ Run with ``--benchmark-only``::
 
 import os
 import time
-
-import pytest
 
 from benchmarks._common import (
     format_table,
@@ -64,19 +56,6 @@ SPEEDUP_FLOOR = 2.0
 
 TX_COUNT = 30
 ROUNDS = 3
-
-#: Tiny sizes for the identity sweep: every Table 4 microbenchmark,
-#: cheap enough for the CI perf-smoke job.
-IDENTITY_TEST_SIZE = 3
-
-
-def _strip_timings(report):
-    data = report.to_dict(unique=False)
-    data["stats"] = {
-        key: value for key, value in data["stats"].items()
-        if not key.endswith("seconds")
-    }
-    return data
 
 
 def _timed_run(config):
@@ -191,27 +170,3 @@ def test_hotpath_speedup(benchmark):
     else:
         assert speedup >= SPEEDUP_FLOOR, floor_message
 
-
-@pytest.mark.parametrize("name", list(MICROBENCHMARKS))
-def test_hotpath_byte_identity(benchmark, name):
-    """Optimized engine vs the event-object reference path.
-
-    ``audit=True`` routes analysis through the interleaved replay:
-    per-event objects, no compiled programs, and a ShadowPM whose
-    coalescing and memo fast paths are disabled by the attached audit
-    sink.  Every optimization must be observationally invisible here.
-    """
-    workload_cls = MICROBENCHMARKS[name]
-    optimized = run_detection(
-        workload_cls(test_size=IDENTITY_TEST_SIZE),
-        DetectorConfig(jobs=1),
-    )
-    reference = run_detection(
-        workload_cls(test_size=IDENTITY_TEST_SIZE),
-        DetectorConfig(jobs=1, audit=True),
-    )
-    assert _strip_timings(optimized) == _strip_timings(reference), (
-        f"{name}: optimized report differs from the reference "
-        "interleaved engine"
-    )
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

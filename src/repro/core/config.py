@@ -126,8 +126,8 @@ class DetectorConfig:
     #: ordering points with no PM data operation in between.
     skip_empty_failure_points: bool = True
 
-    #: Report performance bugs (redundant writebacks, duplicate TX_ADD,
-    #: redundant fences).
+    #: Report performance bugs (redundant writebacks, duplicate
+    #: TX_ADD).
     report_perf_bugs: bool = True
 
     #: How the post-failure stage picks which failure points to
@@ -182,7 +182,8 @@ class DetectorConfig:
     #: crash-image buffers advanced by per-failure-point deltas
     #: (O(delta) instead of O(pool) image work per post-failure task),
     #: and shadow checkpoints captured only at failure points with
-    #: live replays (skipped ones are rebuilt on demand).  Reports
+    #: live replays (skipped ones are rebuilt on demand).  Audited
+    #: runs replay every post-failure trace live.  Reports
     #: stay content-identical to a dedup-off run modulo the
     #: skipped-work counters.  CLI ``run --no-dedup`` / env
     #: ``XFD_DEDUP=0`` disable it (needed only when a workload's
@@ -281,6 +282,3 @@ class DetectorConfig:
     #: ``XFD_JOURNAL_FSYNC_BATCH`` env var.
     journal_fsync_batch: int = field(
         default_factory=_default_journal_fsync_batch)
-
-    #: Extra keyword arguments forwarded to workload stages.
-    workload_options: dict = field(default_factory=dict)

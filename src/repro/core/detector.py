@@ -47,15 +47,16 @@ class XFDetector:
     every FSM transition.  The run's telemetry is attached to the
     returned report as ``report.telemetry``.
 
-    Backend scheduling: the default path replays the pre-failure trace
-    once, capturing a shadow checkpoint at each ``FAILURE_POINT``
-    marker, and then replays every post-failure trace against a fork of
-    its checkpoint — independent tasks a ``repro.exec`` executor can
-    fan out.  Bugs are merged back in the schedule the classic
-    interleaved replay would have produced, so reports are
-    byte-identical regardless of ``config.jobs``.  Audit runs use the
-    interleaved replay directly (the audit log records the in-process
-    schedule).
+    Backend scheduling: one schedule.  The backend replays the
+    pre-failure trace once, capturing a shadow checkpoint at each
+    ``FAILURE_POINT`` marker, and then replays every post-failure trace
+    against a fork of its checkpoint — independent tasks a
+    ``repro.exec`` executor can fan out.  Bugs, and under audit each
+    replay's audit records, are spliced back in marker order, so
+    reports and audit logs are identical regardless of
+    ``config.jobs``.  The naive whole-detector oracle in
+    ``tests/oracle.py`` is the reference this schedule is checked
+    against.
     """
 
     def __init__(self, config=None):
@@ -146,15 +147,10 @@ class XFDetector:
         )
 
         try:
-            if tel.audit is not None:
-                self._analyze_interleaved(
-                    frontend_result, ordered_runs, report
-                )
-            else:
-                self._analyze_checkpointed(
-                    frontend_result, ordered_runs, report, executor,
-                    incident_log, journal,
-                )
+            self._analyze_checkpointed(
+                frontend_result, ordered_runs, report, executor,
+                incident_log, journal,
+            )
         finally:
             if journal is not None:
                 journal.close()
@@ -166,105 +162,7 @@ class XFDetector:
         tel.metrics.gauge("benign_race_reads").set(stats.benign_races)
         return report
 
-    # -- interleaved replay (audit) -------------------------------------
-
-    def _analyze_interleaved(self, frontend_result, ordered_runs,
-                             report):
-        """The classic schedule: fork and replay each post-failure
-        trace inline at its ``FAILURE_POINT`` marker during the
-        pre-failure replay."""
-        tel = self.telemetry
-        stats = report.stats
-        post_by_fid = {}
-        for run in ordered_runs:
-            post_by_fid.setdefault(run.failure_point.fid, []).append(run)
-
-        tel.emit(
-            "phase_started", phase="backend", points=len(ordered_runs)
-        )
-        with tel.span("backend") as backend_span:
-            audit = (
-                tel.audit.scoped(stage="pre")
-                if tel.audit is not None else None
-            )
-            shadow = ShadowPM(
-                platform=self.config.platform,
-                audit=audit,
-                transition_counter=tel.metrics.counter(
-                    "shadow_transitions_total"
-                ),
-            )
-            pre_has_roi = _has_roi(frontend_result.pre_recorder)
-            tel.metrics.inc(
-                "replays_roi_scoped" if pre_has_roi
-                else "replays_whole_trace"
-            )
-            pre_replayer = TraceReplayer(
-                shadow, self.config, "pre", report,
-                has_roi=pre_has_roi, metrics=tel.metrics,
-            )
-            for event in frontend_result.pre_recorder:
-                if event.kind is EventKind.FAILURE_POINT:
-                    for run in post_by_fid.get(int(event.info), []):
-                        stats.post_runs_analyzed += 1
-                        cursor = len(report.bugs)
-                        self._analyze_failure_point(shadow, report, run)
-                        for bug in report.bugs[cursor:]:
-                            _emit_finding(tel, bug)
-                        tel.emit(
-                            "point_completed", phase="backend",
-                            fid=run.failure_point.fid,
-                            variant=run.variant,
-                        )
-                pre_replayer.process(event)
-
-        # The per-point deltas above covered every bug carrying a
-        # failure point; pre-failure findings (perf bugs found between
-        # markers, which carry none) are emitted here.
-        for bug in report.bugs:
-            if bug.failure_point is None:
-                _emit_finding(tel, bug)
-        tel.emit("phase_finished", phase="backend")
-        stats.backend_seconds = backend_span.duration
-        tel.metrics.gauge("orphaned_post_runs").set(
-            len(ordered_runs) - stats.post_runs_analyzed
-        )
-
-    def _analyze_failure_point(self, shadow, report, post_run):
-        if post_run is None:
-            return
-        tel = self.telemetry
-        fid = post_run.failure_point.fid
-        attrs = {"fid": fid}
-        if post_run.variant is not None:
-            attrs["variant"] = post_run.variant
-        with tel.span("post_replay", **attrs):
-            fork = shadow.copy()
-            if tel.audit is not None:
-                tel.audit.mark_fork(fid)
-                fork.audit = tel.audit.scoped(
-                    stage="post", failure_point=fid
-                )
-            post_has_roi = _has_roi(post_run.recorder)
-            tel.metrics.inc(
-                "replays_roi_scoped" if post_has_roi
-                else "replays_whole_trace"
-            )
-            replayer = TraceReplayer(
-                fork,
-                self.config,
-                "post",
-                report,
-                failure_point=fid,
-                has_roi=post_has_roi,
-                metrics=tel.metrics,
-            )
-            for event in post_run.recorder:
-                replayer.process(event)
-            if post_run.crash is not None:
-                self._append_crash_bug(report, post_run)
-
-    # -- checkpointed replay (executor-friendly) ------------------------
+    # -- checkpointed replay ---------------------------------------------
 
     def _analyze_checkpointed(self, frontend_result, ordered_runs,
                               report, executor, incident_log=None,
@@ -273,20 +171,26 @@ class XFDetector:
         replay, then replay every post-failure trace against a fork of
         its checkpoint as an independent executor task.
 
-        Bugs are spliced back into the interleaved schedule's order
-        (pre-failure bugs found before a marker precede that failure
-        point's post-failure bugs), so the report is byte-identical to
-        the classic path and independent of the executor.  Runs spliced
-        from a resume journal skip the replay entirely; quarantined
-        runs are dropped (their incidents carry the provenance); and
-        every newly completed run is journaled the moment it is merged,
-        so a killed run loses at most the point being merged.
+        Bugs — and, under audit, the replays' audit records — are
+        spliced back in marker order (pre-failure items found before a
+        marker precede that failure point's post-failure items), so the
+        report and the audit log are independent of the executor.
+        Runs spliced from a resume journal skip the replay entirely;
+        quarantined runs are dropped (their incidents carry the
+        provenance); and every newly completed run is journaled the
+        moment it is merged, so a killed run loses at most the point
+        being merged.
         """
         if incident_log is None:
             incident_log = IncidentLog()
         tel = self.telemetry
         stats = report.stats
-        dedup_on = getattr(self.config, "dedup", False)
+        audit_log = tel.audit
+        # Under audit every replay runs live: a replay-dedup clone
+        # would have no audit records of its own.
+        dedup_on = (
+            getattr(self.config, "dedup", False) and audit_log is None
+        )
 
         # The pre-failure trace is lowered into a compiled replay
         # program exactly once; the marker scan below, the pre-replay,
@@ -315,11 +219,15 @@ class XFDetector:
         with tel.span("backend") as backend_span:
             shadow = ShadowPM(
                 platform=self.config.platform,
+                audit=(
+                    audit_log.scoped(stage="pre")
+                    if audit_log is not None else None
+                ),
                 transition_counter=tel.metrics.counter(
                     "shadow_transitions_total"
                 ),
             )
-            pre_has_roi = _has_roi(frontend_result.pre_recorder)
+            pre_has_roi = frontend_result.pre_recorder.has_roi
             tel.metrics.inc(
                 "replays_roi_scoped" if pre_has_roi
                 else "replays_whole_trace"
@@ -345,43 +253,47 @@ class XFDetector:
             )
             replay_seen = {}  # (class id, digest) -> source task index
             clone_of = {}  # task index -> source task index
-            insert_at = {}
+            insert_at = {}  # fid -> pre-replay bugs before its marker
+            audit_at = {}  # fid -> audit records before its marker
             # Dispatch the compiled program directly (same table
             # ``run_program`` uses) so the marker handling can stay
             # inline without re-testing every instruction twice.
             dispatch = pre_replayer._dispatch
-            for instr in pre_program:
-                code, addr, size, info, ip, tid = instr
-                if code == _FP_CODE:
-                    fid = int(info)
-                    insert_at[fid] = len(report.bugs)
-                    need_live = not dedup_on
-                    digests = {}
-                    for task_index in runs_at.get(fid, ()):
-                        run = tasks[task_index]
-                        if getattr(run, "journal_entry", None) is not None:
-                            continue
-                        cid = (
-                            getattr(run, "dedup_class", None)
-                            if dedup_on else None
-                        )
-                        readset = readsets.get(cid)
-                        if readset is not None:
-                            digest = digests.get(cid)
-                            if digest is None:
-                                digest = shadow.region_digest(readset)
-                                digests[cid] = digest
-                            source = replay_seen.get((cid, digest))
-                            if source is not None:
-                                clone_of[task_index] = source
+            with tel.span("pre_replay"):
+                for instr in pre_program:
+                    code, addr, size, info, ip, tid = instr
+                    if code == _FP_CODE:
+                        fid = int(info)
+                        insert_at[fid] = len(report.bugs)
+                        if audit_log is not None:
+                            audit_at[fid] = len(audit_log.records)
+                        need_live = not dedup_on
+                        digests = {}
+                        for task_index in runs_at.get(fid, ()):
+                            run = tasks[task_index]
+                            if getattr(run, "journal_entry", None) is not None:
                                 continue
-                            replay_seen[(cid, digest)] = task_index
-                        need_live = True
-                    if need_live:
-                        checkpoints.capture(fid, shadow)
-                    else:
-                        checkpoints.note_skipped(fid)
-                dispatch[code](addr, size, info, ip, tid)
+                            cid = (
+                                getattr(run, "dedup_class", None)
+                                if dedup_on else None
+                            )
+                            readset = readsets.get(cid)
+                            if readset is not None:
+                                digest = digests.get(cid)
+                                if digest is None:
+                                    digest = shadow.region_digest(readset)
+                                    digests[cid] = digest
+                                source = replay_seen.get((cid, digest))
+                                if source is not None:
+                                    clone_of[task_index] = source
+                                    continue
+                                replay_seen[(cid, digest)] = task_index
+                            need_live = True
+                        if need_live:
+                            checkpoints.capture(fid, shadow)
+                        else:
+                            checkpoints.note_skipped(fid)
+                    dispatch[code](addr, size, info, ip, tid)
             pre_bugs = list(report.bugs)
             for bug in pre_bugs:
                 _emit_finding(tel, bug)
@@ -398,31 +310,27 @@ class XFDetector:
                 1 for result in results if result is not None
             )
 
-            merged = []
-            cursor = 0
-            current_fid = None
+            bug_chunks = []
+            audit_chunks = []
             for run, result in zip(tasks, results):
                 if result is None:
                     continue  # quarantined: outcome lost
-                bugs, benign_races = result
+                bugs, benign_races, records = result
                 fid = run.failure_point.fid
-                if fid != current_fid:
-                    offset = insert_at[fid]
-                    merged.extend(pre_bugs[cursor:offset])
-                    cursor = offset
-                    current_fid = fid
-                merged.extend(bugs)
+                run_bugs = list(bugs)
                 for bug in bugs:
                     _emit_finding(tel, bug)
                 stats.benign_races += benign_races
                 if run.crash is not None:
-                    self._append_crash_bug(report, run, into=merged)
-                    _emit_finding(tel, merged[-1])
+                    run_bugs.append(self._crash_bug(run))
+                    _emit_finding(tel, run_bugs[-1])
+                bug_chunks.append((fid, run_bugs))
+                audit_chunks.append((fid, records))
                 if journal is not None:
                     journal.record_post(
                         fid, run.variant,
                         events=len(run.recorder),
-                        has_roi=_has_roi(run.recorder),
+                        has_roi=run.recorder.has_roi,
                         crash_repr=(
                             repr(run.crash.original)
                             if run.crash is not None else None
@@ -430,8 +338,11 @@ class XFDetector:
                         bugs=bugs,
                         benign_races=benign_races,
                     )
-            merged.extend(pre_bugs[cursor:])
-            report.bugs = merged
+            report.bugs = _splice(pre_bugs, insert_at, bug_chunks)[0]
+            if audit_log is not None:
+                audit_log.adopt(
+                    *_splice(audit_log.records, audit_at, audit_chunks)
+                )
 
         stats.backend_seconds = backend_span.duration
         tel.emit(
@@ -463,11 +374,12 @@ class XFDetector:
     def _replay_tasks(self, tasks, checkpoints, executor,
                       incident_log, clone_of=None):
         """Run every post-failure replay task; returns one
-        ``(bugs, benign_races)`` pair per task, in task order —
-        rebuilt straight from the journal for resumed runs, cloned
-        from the source replay for deduped runs (with per-member
+        ``(bugs, benign_races, audit_records)`` triple per task, in task
+        order — rebuilt straight from the journal for resumed runs,
+        cloned from the source replay for deduped runs (with per-member
         failure-point provenance rewritten), None for quarantined
-        ones — plus the number of replays deduped."""
+        ones — plus the number of replays deduped.  Only live replays
+        carry audit records (None when the run is not audited)."""
         tel = self.telemetry
         clone_of = clone_of or {}
         keys = []
@@ -481,12 +393,13 @@ class XFDetector:
                 journaled[key] = (
                     [deserialize_bug(bug) for bug in entry["bugs"]],
                     entry["benign_races"],
+                    None,
                 )
                 continue
             # Post-failure traces ship to workers pre-lowered: the
             # compilation cost is paid once here, not per retry/fork.
             runs_map[key] = (
-                lower_trace(run.recorder), _has_roi(run.recorder)
+                lower_trace(run.recorder), run.recorder.has_roi
             )
         live_keys = [
             key for key in keys
@@ -503,7 +416,7 @@ class XFDetector:
             )
             ctx = ReplayPhaseContext(
                 strip_config(self.config), checkpoints, runs_map,
-                resilience,
+                resilience, audit=tel.audit is not None,
             )
             submit = self._replay_submit(
                 executor if executor is not None else SerialExecutor(),
@@ -532,7 +445,9 @@ class XFDetector:
                 continue
             if key in completed:
                 value = completed[key].value
-                results.append((value.bugs, value.benign_races))
+                results.append(
+                    (value.bugs, value.benign_races, value.audit)
+                )
                 continue
             source_index = clone_of.get(key[2])
             source = (
@@ -549,7 +464,7 @@ class XFDetector:
                 if bug.failure_point is not None else bug
                 for bug in value.bugs
             ]
-            results.append((bugs, value.benign_races))
+            results.append((bugs, value.benign_races, None))
             # The clone's own replay would have produced the same
             # task-local counters event for event; merging the
             # source's registry once per clone keeps run totals
@@ -583,19 +498,18 @@ class XFDetector:
 
         return submit
 
-    def _append_crash_bug(self, report, post_run, into=None):
+    def _crash_bug(self, post_run):
         """A crashed post-failure execution is itself a finding."""
         tel = self.telemetry
         tel.metrics.inc("bugs_reported_total")
         tel.metrics.inc("bugs_reported.post_failure_crash")
-        bug = Bug(
+        return Bug(
             kind=BugKind.POST_FAILURE_CRASH,
             detail=str(post_run.crash),
             failure_point=post_run.failure_point.fid,
             reader_ip=UNKNOWN_LOCATION,
             writer_ip=UNKNOWN_LOCATION,
         )
-        (report.bugs if into is None else into).append(bug)
 
 
 def _emit_finding(telemetry, bug):
@@ -613,6 +527,28 @@ def _emit_finding(telemetry, bug):
         reader=str(bug.reader_ip),
         writer=str(bug.writer_ip),
     )
+
+
+def _splice(pre_items, offsets, chunks):
+    """Merge per-replay chunks into the pre-replay's items in marker
+    order.
+
+    ``offsets[fid]`` counts the pre-replay items that preceded marker
+    ``fid``; ``chunks`` are ``(fid, items)`` pairs in task order
+    (fid-ascending, so offsets never decrease).  Returns the merged
+    list and, per fid, the position its first chunk landed at.
+    """
+    merged = []
+    starts = {}
+    cursor = 0
+    for fid, items in chunks:
+        offset = offsets[fid]
+        merged.extend(pre_items[cursor:offset])
+        cursor = offset
+        starts.setdefault(fid, len(merged))
+        merged.extend(items)
+    merged.extend(pre_items[cursor:])
+    return merged, starts
 
 
 def _deterministic_stats(stats):
@@ -664,18 +600,3 @@ def _class_readsets(tasks):
                 ranges.add((event.addr, event.addr + event.size))
         readsets[cid] = tuple(sorted(ranges))
     return readsets
-
-
-def _has_roi(recorder):
-    """Whether the trace confines detection to RoI-marked regions.
-
-    Recorders note ``ROI_BEGIN`` markers at append time (``has_roi``),
-    so the common case is a flag read; the O(n) scan remains only as a
-    fallback for plain event iterables.
-    """
-    flag = getattr(recorder, "has_roi", None)
-    if flag is not None:
-        return flag
-    return any(
-        event.kind is EventKind.ROI_BEGIN for event in recorder
-    )

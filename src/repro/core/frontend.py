@@ -19,7 +19,7 @@ process pool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.injector import FailureInjector
 from repro.core.interface import DetectionComplete, XFInterface
@@ -52,8 +52,6 @@ class ExecutionContext:
     interface: XFInterface
     #: "pre" or "post".
     stage: str
-    #: Free-form per-run options from DetectorConfig.workload_options.
-    options: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -198,9 +196,9 @@ class Frontend:
         tel = self.telemetry
         journal = RunJournal.from_config(self.config)
         if journal is not None and getattr(self.config, "audit", False):
-            # The interleaved backend replays everything inline; there
-            # is no per-point completion to journal, and a spliced
-            # resume would falsify the audit log.
+            # A point resumed from the journal is never replayed, so it
+            # has no audit records: a spliced resume would falsify the
+            # audit log.
             raise DetectorError(
                 "run journaling (--journal/--resume) is not supported "
                 "with audit"
@@ -220,7 +218,6 @@ class Frontend:
             memory=memory,
             interface=XFInterface(memory, stage="pre"),
             stage="pre",
-            options=dict(self.config.workload_options),
         )
 
         # Setup (pool creation, initial inserts) is not under test:

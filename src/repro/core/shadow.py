@@ -164,9 +164,13 @@ class ShadowPM:
     # ------------------------------------------------------------------
 
     def copy(self):
+        """A deep copy of the shadow state, without the audit hook:
+        checkpoints are pickled per batch to warm workers, and a hook
+        would drag the run's whole audit log along.  An audited replay
+        task attaches its own task-local log to its fork."""
         dup = ShadowPM.__new__(ShadowPM)
         dup.platform = self.platform
-        dup.audit = self.audit
+        dup.audit = None
         dup.transitions = self.transitions
         dup.persistence = self.persistence.copy()
         dup.consistency = self.consistency.copy()
@@ -199,14 +203,11 @@ class ShadowPM:
     def fork_for_replay(self, transition_counter=None):
         """A fork for a detached post-failure replay (executor task).
 
-        Unlike :meth:`copy`, the fork carries no audit hook (parallel
-        replays do not share the in-process audit log — audit mode
-        forces the serial interleaved schedule) and counts transitions
-        into its own counter so parallel replays never contend on, or
+        Unlike :meth:`copy`, the fork counts transitions into its own
+        counter so parallel replays never contend on, or
         non-deterministically interleave into, the parent's counter.
         """
         dup = self.copy()
-        dup.audit = None
         dup.transitions = (
             transition_counter if transition_counter is not None
             else Counter("shadow_transitions_total")

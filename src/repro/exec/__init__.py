@@ -7,8 +7,7 @@ independent.  This package runs both phases on one of two executors,
 chosen by :func:`~repro.exec.base.resolve_executor` from ``jobs``:
 
 * :class:`~repro.exec.base.SerialExecutor` — in-process, the default
-  and the reference schedule (``jobs=1``, audit, or no ``fork`` start
-  method);
+  and the reference schedule (``jobs=1`` or no ``fork`` start method);
 * :class:`~repro.exec.pool.WarmProcessExecutor` — workers forked once
   per run and kept alive across phases, snapshot stores published
   through ``multiprocessing.shared_memory`` (:mod:`repro.exec.shm`) so

@@ -115,19 +115,15 @@ def graft_outcomes(telemetry, outcomes):
 def resolve_executor(config, telemetry=None):
     """The executor for one detection run, from ``config.jobs``.
 
-    Serial runs when ``jobs <= 1``, when the platform has no ``fork``
-    start method, and under ``audit``, whose audit log and span tree
-    record the in-process schedule.  Every other run gets the warm
-    process pool.
+    Serial runs when ``jobs <= 1`` or when the platform has no
+    ``fork`` start method.  Every other run gets the warm process
+    pool — audited runs included: replay tasks ship their audit
+    records back in their outcomes.
     """
     from repro.exec.pool import WarmProcessExecutor
 
     jobs = int(getattr(config, "jobs", 1) or 1)
-    if (
-        jobs <= 1
-        or getattr(config, "audit", False)
-        or not WarmProcessExecutor.available()
-    ):
+    if jobs <= 1 or not WarmProcessExecutor.available():
         return SerialExecutor()
     return WarmProcessExecutor(
         jobs,

@@ -203,7 +203,6 @@ def run_post_task(ctx, key):
                 memory=memory,
                 interface=XFInterface(memory, stage="post"),
                 stage="post",
-                options=dict(config.workload_options),
             )
             crash_repr = None
             with spans.span("recovery"):
@@ -247,9 +246,10 @@ def run_post_task(ctx, key):
 class ReplayPhaseContext:
     """Read-only inputs of the checkpointed post-replay phase."""
 
-    __slots__ = ("config", "checkpoints", "runs", "resilience")
+    __slots__ = ("config", "checkpoints", "runs", "resilience", "audit")
 
-    def __init__(self, config, checkpoints, runs, resilience=None):
+    def __init__(self, config, checkpoints, runs, resilience=None,
+                 audit=False):
         self.config = config
         #: fid -> ShadowPM checkpoint captured at that FAILURE_POINT
         #: marker during the single pre-failure replay.
@@ -261,6 +261,9 @@ class ReplayPhaseContext:
         #: The phase's ``ResilienceContext``, or None when every
         #: resilience knob is off.
         self.resilience = resilience
+        #: Record each replay's shadow transitions into a task-local
+        #: audit log shipped back in the outcome.
+        self.audit = audit
 
     def export_for_workers(self, plane):
         """The warm-pool shipping form: checkpoints and run traces are
@@ -268,7 +271,7 @@ class ReplayPhaseContext:
         the checkpoint cache holds a rebuild closure and a lock, which
         must stay parent-side."""
         return ReplayPhaseContext(
-            self.config, {}, {}, self.resilience
+            self.config, {}, {}, self.resilience, self.audit
         )
 
     def batch_payload(self, keys):
@@ -298,10 +301,10 @@ class ReplayTaskOutcome:
     """One post-failure replay's findings, in picklable form."""
 
     __slots__ = ("fid", "variant", "bugs", "benign_races", "metrics",
-                 "seconds", "spans")
+                 "seconds", "spans", "audit")
 
     def __init__(self, fid, variant, bugs, benign_races, metrics,
-                 seconds, spans=()):
+                 seconds, spans=(), audit=None):
         self.fid = fid
         self.variant = variant
         self.bugs = bugs
@@ -313,12 +316,16 @@ class ReplayTaskOutcome:
         #: The task's own span tree (a ``post_replay`` root), grafted
         #: into the run profile by the coordinator.
         self.spans = list(spans)
+        #: The replay's ``AuditRecord`` list under audit (spliced into
+        #: the run's log at its marker by the coordinator), else None.
+        self.audit = audit
 
 
 def run_replay_task(ctx, key):
     """Replay one post-failure trace against a forked shadow checkpoint."""
     from repro.core.replay import TraceReplayer
     from repro.core.report import DetectionReport
+    from repro.obs.audit import AuditLog
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.spans import SpanRecorder
 
@@ -332,12 +339,17 @@ def run_replay_task(ctx, key):
     root_attrs = {"fid": fid}
     if variant is not None:
         root_attrs["variant"] = variant
+    audit = AuditLog() if ctx.audit else None
     try:
         metrics = MetricsRegistry()
         with spans.span("post_replay", **root_attrs) as root:
             with spans.span("fork_checkpoint"):
                 fork = ctx.checkpoints[fid].fork_for_replay(
                     metrics.counter("shadow_transitions_total")
+                )
+            if audit is not None:
+                fork.audit = audit.scoped(
+                    stage="post", failure_point=fid
                 )
             metrics.inc(
                 "replays_roi_scoped" if has_roi
@@ -356,6 +368,7 @@ def run_replay_task(ctx, key):
         return ReplayTaskOutcome(
             fid, variant, shell.bugs, shell.stats.benign_races, metrics,
             root.duration, spans=spans.roots,
+            audit=audit.records if audit is not None else None,
         )
     finally:
         if watchdog is not None:

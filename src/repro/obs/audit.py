@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 
 def _state_name(state):
@@ -92,9 +92,9 @@ class AuditLog:
     def __init__(self, clock=time.time):
         self._clock = clock
         self.records = []
-        #: fid -> index into ``records`` where the backend forked the
-        #: shadow for that failure point (pre-failure transitions with
-        #: a smaller index are the fork's inherited history).
+        #: fid -> index into ``records`` of that failure point's first
+        #: fork record (pre-failure transitions with a smaller index
+        #: are the fork's inherited history).
         self.fork_positions = {}
 
     def __len__(self):
@@ -126,17 +126,28 @@ class AuditLog:
         """A view that stamps every record with replay context.
 
         The backend gives the pre-failure shadow a ``stage="pre"``
-        scope and each forked shadow a ``stage="post"`` scope carrying
-        its failure-point id; all records land in this one log.
+        scope on the run's log, and each replay task's forked shadow a
+        ``stage="post"`` scope carrying its failure-point id on a
+        task-local log; :meth:`adopt` then merges the task logs into
+        the run's log.
         """
         return _AuditScope(self, stage, failure_point)
 
-    def mark_fork(self, failure_point):
-        """Note that the backend is about to fork the shadow for this
-        failure point (called by the detector, once per fid)."""
-        self.fork_positions.setdefault(
-            failure_point, len(self.records)
-        )
+    def adopt(self, records, fork_positions):
+        """Make ``records`` this log's records: the pre-failure records
+        with each fork's records merged in at its marker, in order.
+
+        ``seq`` is renumbered to each record's index, and
+        ``fork_positions`` (fid -> index of that failure point's first
+        fork record) is noted, first position per fid.
+        """
+        self.records = [
+            record if record.seq == seq
+            else replace(record, seq=seq)
+            for seq, record in enumerate(records)
+        ]
+        for fid, position in fork_positions.items():
+            self.fork_positions.setdefault(fid, position)
 
     # -- queries ----------------------------------------------------------
 

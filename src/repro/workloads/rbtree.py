@@ -233,9 +233,11 @@ class RBTree:
         """Read every persistent field of every node (including colors
         and parent links), the way a recovery-time validator would.
         Returns the number of nodes visited."""
+        guard = TraversalGuard("rbtree audit walk")
         visited = 0
         stack = [self.root.root_ptr] if self.root.root_ptr else []
         while stack:
+            guard.step()
             node = self._node(stack.pop())
             _ = (node.key, node.value, node.color, node.parent)
             visited += 1

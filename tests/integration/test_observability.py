@@ -13,7 +13,12 @@ import pytest
 
 from repro.cli import main
 from repro.core import DetectorConfig, XFDetector
-from repro.obs import read_ndjson
+from repro.core.frontend import Frontend
+from repro.core.replay import TraceReplayer, lower_trace
+from repro.core.report import DetectionReport
+from repro.core.shadow import ShadowPM
+from repro.obs import AuditLog, read_ndjson
+from repro.trace.events import KIND_CODE, EventKind
 from repro.workloads import ALL_WORKLOADS
 
 
@@ -22,7 +27,10 @@ def audited_report():
     workload = ALL_WORKLOADS["hashmap_atomic"](
         faults={"bug1_unpersisted_create"}
     )
-    return XFDetector(DetectorConfig(audit=True)).run(workload)
+    # Serial on purpose: the leaf-coverage check measures the
+    # in-process profile.  On the warm pool the parent's wait for its
+    # workers is covered by no leaf (0.76 on this workload).
+    return XFDetector(DetectorConfig(audit=True, jobs=1)).run(workload)
 
 
 class TestSpanProfile:
@@ -153,6 +161,47 @@ class TestAuditLog:
         assert "persistence" in layers
         for record in log:
             json.dumps(record.to_dict())  # exportable
+
+    def test_replay_records_sit_at_their_markers(self):
+        """Each replay task records into its own log; the detector
+        splices the records right after the pre-failure records that
+        precede the failure point's marker, in replay order."""
+        config = DetectorConfig(audit=True, crash_state_variants=2)
+        detector = XFDetector(config)
+        result = Frontend(config, telemetry=detector.telemetry).run(
+            ALL_WORKLOADS["hashmap_atomic"](
+                faults={"bug1_unpersisted_create"}
+            )
+        )
+        log = detector.analyze(result).telemetry.audit
+        # The pre-failure replay alone, counting records per marker.
+        pre_log = AuditLog()
+        replayer = TraceReplayer(
+            ShadowPM(audit=pre_log.scoped(stage="pre")), config, "pre",
+            DetectionReport(), has_roi=result.pre_recorder.has_roi,
+        )
+        pre_before = {}
+        for instruction in lower_trace(result.pre_recorder):
+            if instruction[0] == KIND_CODE[EventKind.FAILURE_POINT]:
+                pre_before[int(instruction[3])] = len(pre_log)
+            replayer.run_program([instruction])
+
+        def content(record):
+            return {
+                key: value for key, value in record.to_dict().items()
+                if key not in ("seq", "ts")
+            }
+
+        assert [record.seq for record in log] == list(range(len(log)))
+        assert [content(r) for r in log if r.stage == "pre"] == [
+            content(r) for r in pre_log
+        ]
+        assert set(log.fork_positions) == set(pre_before)
+        for fid, position in log.fork_positions.items():
+            pre = [r for r in log.records[:position] if r.stage == "pre"]
+            assert len(pre) == pre_before[fid]
+            post = [r.seq for r in log if r.failure_point == fid]
+            assert post == list(range(position, position + len(post)))
 
     def test_audit_off_by_default(self):
         report = XFDetector(DetectorConfig()).run(

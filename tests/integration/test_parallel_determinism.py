@@ -7,6 +7,8 @@ modulo wall-clock timings, which are the *only* thing an executor is
 allowed to change.
 """
 
+import pytest
+
 from repro.core import DetectorConfig, XFDetector
 from repro.core.frontend import Frontend, FrontendResult, PostRun
 from repro.core.injector import FailurePoint
@@ -212,16 +214,37 @@ class TestOrphanAccounting:
         )
 
 
-class TestCheckpointedEqualsInterleaved:
-    def test_audit_schedule_matches_checkpointed_reports(self):
-        """The audit run (interleaved legacy schedule) and the default
-        checkpointed schedule produce identical bug lists."""
-        make = lambda: HashmapAtomicWorkload(
-            faults={"skip_persist_count"}, test_size=3
-        )
-        checkpointed = XFDetector(DetectorConfig()).run(make())
-        interleaved = XFDetector(DetectorConfig(audit=True)).run(make())
-        assert (
-            _report_dict(checkpointed)["bugs"]
-            == _report_dict(interleaved)["bugs"]
-        )
+class TestAuditDeterminism:
+    @pytest.mark.skipif(
+        len(WIDTHS) < 2, reason="fork start method required"
+    )
+    @pytest.mark.parametrize("batch_size", [1, 8])
+    def test_audit_records_identical_across_pool_widths(
+        self, batch_size
+    ):
+        """Audited replays run on the warm pool too: each task ships
+        its records back and the detector splices them in marker
+        order, so the audit log (timestamps aside) is the serial
+        run's, whatever the batch size."""
+        def audited(jobs):
+            report = _run(
+                jobs,
+                lambda: HashmapAtomicWorkload(
+                    faults={"skip_persist_count"}, test_size=3
+                ),
+                audit=True, batch_size=batch_size,
+                crash_state_variants=2,
+            )
+            log = report.telemetry.audit
+            records = [
+                {key: value for key, value in record.to_dict().items()
+                 if key != "ts"}
+                for record in log
+            ]
+            return records, log.fork_positions, _report_dict(report)
+
+        serial = audited(1)
+        assert {record["stage"] for record in serial[0]} == {
+            "pre", "post"
+        }
+        assert audited(2) == serial

@@ -73,9 +73,15 @@ class TestResolveExecutor:
         finally:
             executor.close()
 
-    def test_audit_forces_serial(self):
-        config = DetectorConfig(jobs=4, audit=True)
-        assert isinstance(resolve_executor(config), SerialExecutor)
+    @needs_fork
+    def test_audit_uses_warm_pool(self):
+        """Audited replays ship their records back in their outcomes,
+        so an audited run takes the warm pool like any other."""
+        executor = resolve_executor(DetectorConfig(jobs=2, audit=True))
+        try:
+            assert isinstance(executor, WarmProcessExecutor)
+        finally:
+            executor.close()
 
     def test_process_when_fork_available(self):
         executor = resolve_executor(DetectorConfig(jobs=2))
@@ -99,9 +105,9 @@ class TestResolveExecutor:
     @pytest.mark.parametrize("audit", [False, True])
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_resolution_table(self, monkeypatch, jobs, audit, fork):
-        """The warm pool runs exactly when ``jobs > 1``, audit does not
-        ask for the in-process schedule, and the platform can fork;
-        everything else is serial."""
+        """The warm pool runs exactly when ``jobs > 1`` and the
+        platform can fork; everything else is serial.  ``audit`` has
+        no say: audited replays run in the pool like any other."""
         if fork and not HAS_FORK:
             pytest.skip("fork start method required")
         monkeypatch.setattr(
@@ -109,7 +115,7 @@ class TestResolveExecutor:
         )
         executor = resolve_executor(DetectorConfig(jobs=jobs, audit=audit))
         try:
-            warm = jobs > 1 and not audit and fork
+            warm = jobs > 1 and fork
             expected = WarmProcessExecutor if warm else SerialExecutor
             assert type(executor) is expected
             assert executor.kind == ("process" if warm else "serial")

@@ -176,13 +176,21 @@ class TestAudit:
         pre = log.scoped(stage="pre")
         pre.record("STORE", "persistence", 0x100, 8,
                    "UNMODIFIED", "MODIFIED", 0, ip="setup.py:1")
-        log.mark_fork(0)
-        post0 = log.scoped(stage="post", failure_point=0)
-        post0.record("STORE", "persistence", 0x100, 8,
-                     "MODIFIED", "MODIFIED", 1, ip="recover.py:9")
         # A later pre-failure store must not appear in fid 0's history.
         pre.record("STORE", "persistence", 0x100, 8,
                    "MODIFIED", "MODIFIED", 2, ip="later.py:5")
+        fork = self.make()
+        post0 = fork.scoped(stage="post", failure_point=0)
+        post0.record("STORE", "persistence", 0x100, 8,
+                     "MODIFIED", "MODIFIED", 1, ip="recover.py:9")
+        # Failure point 0's marker fell after the first pre record.
+        log.adopt(
+            log.records[:1] + fork.records + log.records[1:], {0: 1}
+        )
+        assert [r.seq for r in log] == [0, 1, 2]
+        assert [r.ip for r in log] == \
+            ["setup.py:1", "recover.py:9", "later.py:5"]
+        assert log.fork_positions == {0: 1}
         history = log.history_for(0x100, 8, failure_point=0)
         assert [r.ip for r in history] == \
             ["setup.py:1", "recover.py:9"]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import TraversalLimitError
 from repro.pm.memory import PersistentMemory
 from repro.pmdk import ObjectPool, pmem
 from repro.trace.recorder import TraceRecorder
@@ -154,6 +155,18 @@ class TestRBTreeSpecific:
         for key in range(10):
             tree.insert(key, key)
         assert tree.audit() == 10
+
+    def test_audit_stops_on_cyclic_child_pointer(self):
+        """A crash image can leave a child pointer looping back onto an
+        ancestor; the audit walk must raise instead of walking (and
+        growing its stack) forever."""
+        tree = make_rbtree()
+        for key in range(3):
+            tree.insert(key, key)
+        root = tree._node(tree.root.root_ptr)
+        tree._node(root.right).left = root.address
+        with pytest.raises(TraversalLimitError):
+            tree.audit()
 
 
 @settings(max_examples=40, deadline=None)
