@@ -12,9 +12,10 @@ Two measurements, mirroring the two layers of ``repro.dedup``:
   failure-point density.  The floor asserted here is the
   issue's acceptance bar: >=1.5x on at least two workloads.
 
-* **Dedup ratio** — how many post-failure executions and backend
-  replays were skipped because their crash image (and replay read set)
-  matched an earlier failure point's.  On the default configuration
+* **Dedup ratio** — how many post-failure runs (each checked as it
+  runs) were skipped because their crash image, and the shadow state
+  over their representative's read set, matched an earlier failure
+  point's.  On the default configuration
   this is usually 1.00: ``skip_empty_failure_points`` already refuses
   to inject a failure point when no PM data operation happened since
   the previous one, which prunes exactly the trivially-identical

@@ -35,7 +35,9 @@ def _span_breakdown(telemetry):
     Mirrors the frontend/detector attribution: PM-image snapshotting
     happens inside the pre-failure execution but belongs to spawning
     the post-failure runs (Figure 8a step 3), so the snapshot timer
-    total moves from pre to post.
+    total moves from pre to post.  Each post-failure run is checked as
+    it runs, so its replay sits inside ``post_run``; the backend is
+    the one pre-failure replay plus the bug splicing.
     """
     spans = telemetry.spans
     snapshot = telemetry.metrics.get("snapshot_seconds")
@@ -48,7 +50,10 @@ def _span_breakdown(telemetry):
     post = snapshot_total + sum(
         span.duration for span in spans.find("post_run")
     )
-    backend = spans.first("backend").duration
+    backend = (
+        spans.first("pre_replay").duration
+        + spans.first("backend").duration
+    )
     return pre, post, backend
 
 

@@ -115,8 +115,8 @@ def _build_parser():
                           "relevant points; hybrid collapses only "
                           "transaction epochs (default: exhaustive)")
     run.add_argument("--jobs", type=int, default=None, metavar="N",
-                     help="fan post-failure executions and replays "
-                          "out over a warm pool of N worker processes "
+                     help="fan post-failure executions out over a "
+                          "warm pool of N worker processes "
                           "(default: XFD_JOBS or 1 = serial; reports "
                           "are identical at any width)")
     run.add_argument("--batch-size", type=int, default=None,
@@ -129,7 +129,7 @@ def _build_parser():
     run.add_argument("--deadline", type=float, default=None,
                      metavar="SECONDS",
                      help="wall-clock budget per post-failure "
-                          "execution/replay; a livelocked task is "
+                          "execution; a livelocked task is "
                           "killed and recorded as a hang incident "
                           "(default: XFD_DEADLINE or none)")
     run.add_argument("--max-retries", type=int, default=None,
@@ -500,15 +500,14 @@ def _cmd_run(args):
             f"{stats.failure_points} failure points executed, "
             f"{skipped} skipped ({ratio:.1f}x fewer than exhaustive)"
         )
-    if stats.post_runs_deduped or stats.replays_deduped:
+    if stats.post_runs_deduped:
         skipped_events = telemetry.metrics.value(
             "replay_events_skipped"
         )
         print(
             f"-- dedup: {stats.post_runs_deduped} post-failure "
-            f"run(s) cloned from class representatives, "
-            f"{stats.replays_deduped} replay(s) memoized "
-            f"({skipped_events} replay events skipped)"
+            f"run(s) cloned from class representatives "
+            f"({skipped_events} events skipped)"
         )
     if report.incidents:
         state = (

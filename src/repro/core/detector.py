@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import dataclasses
+from dataclasses import dataclass, field
 
 from repro._location import UNKNOWN_LOCATION
 from repro.core.config import DetectorConfig
@@ -10,35 +10,93 @@ from repro.core.frontend import Frontend
 from repro.core.replay import TraceReplayer, lower_trace
 from repro.core.report import Bug, BugKind, DetectionReport
 from repro.core.shadow import ShadowCheckpointCache, ShadowPM
-from repro.exec.base import (
-    SerialExecutor,
-    graft_outcomes,
-    resolve_executor,
-)
-from repro.exec.worker import (
-    ReplayPhaseContext,
-    run_replay_task,
-    strip_config,
-)
+from repro.exec.base import resolve_executor
 from repro.obs import resolve_telemetry
-from repro.resilience import (
-    IncidentLog,
-    PhaseSupervisor,
-    ResilienceContext,
-    deserialize_bug,
-)
+from repro.resilience import IncidentLog
 from repro.trace.events import KIND_CODE, EventKind
 
 #: Marker instruction code in compiled replay programs.
 _FP_CODE = KIND_CODE[EventKind.FAILURE_POINT]
 
 
+@dataclass
+class PreReplay:
+    """What the one pre-failure replay leaves for the backend."""
+
+    #: Pre-failure bugs (performance bugs), in trace order.
+    bugs: list
+    #: fid -> number of pre-failure bugs found before its marker: where
+    #: the failure point's post-failure bugs splice in.
+    bug_offsets: dict
+    #: The pre-failure audit records, and fid -> how many preceded its
+    #: marker (audited runs only).
+    audit_records: list = field(default_factory=list)
+    audit_offsets: dict = field(default_factory=dict)
+    #: Shadow checkpoints at every marker with a live post task.
+    checkpoints: ShadowCheckpointCache = field(
+        default_factory=ShadowCheckpointCache
+    )
+    seconds: float = 0.0
+
+
+def replay_pre_trace(config, telemetry, pre_recorder, live_fids):
+    """Replay the pre-failure trace once, checkpointing the shadow at
+    each marker in ``live_fids``.
+
+    The frontend calls this right before it dispatches the post-failure
+    tasks, so every checkpoint a task forks exists up front.  It runs
+    once per run, also when no task is planned: its performance bugs
+    are part of the report.  Under audit the shadow's transitions go
+    to the run's audit log, and each marker's position in it is kept
+    for splicing the post-failure records.
+    """
+    tel = telemetry
+    audit_log = tel.audit
+    shadow = ShadowPM(
+        platform=config.platform,
+        audit=(
+            audit_log.scoped(stage="pre")
+            if audit_log is not None else None
+        ),
+        transition_counter=tel.metrics.counter("shadow_transitions_total"),
+    )
+    shell = DetectionReport()
+    replayer = TraceReplayer(
+        shadow, config, "pre", shell,
+        has_roi=pre_recorder.has_roi, metrics=tel.metrics,
+    )
+    pre = PreReplay(shell.bugs, {})
+    with tel.span("pre_replay") as span:
+        program = lower_trace(pre_recorder)
+        markers = [
+            index for index, instr in enumerate(program)
+            if instr[0] == _FP_CODE
+        ]
+        start = 0
+        for index in markers:
+            replayer.run_program(program[start:index])
+            start = index
+            fid = int(program[index][3])
+            pre.bug_offsets[fid] = len(shell.bugs)
+            if audit_log is not None:
+                pre.audit_offsets[fid] = len(audit_log.records)
+            if fid in live_fids:
+                pre.checkpoints.capture(fid, shadow)
+        replayer.run_program(program[start:])
+        replayer.finish()
+    if audit_log is not None:
+        pre.audit_records = audit_log.records
+    pre.seconds = span.duration
+    return pre
+
+
 class XFDetector:
     """Cross-failure bug detector (the paper's tool).
 
     ``run(workload)`` executes the full Figure 7 pipeline: trace the
-    pre-failure stage with failure injection, run the post-failure stage
-    per failure point, replay both traces against the shadow PM, and
+    pre-failure stage with failure injection, replay it against the
+    shadow PM, run the post-failure stage per failure point while a
+    fork of that point's shadow checkpoint checks each operation, and
     report cross-failure races, semantic bugs, and performance bugs.
 
     Every run is instrumented through ``repro.obs``: a span tree
@@ -47,16 +105,16 @@ class XFDetector:
     every FSM transition.  The run's telemetry is attached to the
     returned report as ``report.telemetry``.
 
-    Backend scheduling: one schedule.  The backend replays the
-    pre-failure trace once, capturing a shadow checkpoint at each
-    ``FAILURE_POINT`` marker, and then replays every post-failure trace
-    against a fork of its checkpoint — independent tasks a
-    ``repro.exec`` executor can fan out.  Bugs, and under audit each
-    replay's audit records, are spliced back in marker order, so
-    reports and audit logs are identical regardless of
-    ``config.jobs``.  The naive whole-detector oracle in
-    ``tests/oracle.py`` is the reference this schedule is checked
-    against.
+    Backend scheduling: one schedule.  :func:`replay_pre_trace` replays
+    the pre-failure trace once, capturing a shadow checkpoint at each
+    ``FAILURE_POINT`` marker with a live task; each post-failure task
+    then checks its recovery against a fork of its checkpoint as it
+    runs — independent tasks a ``repro.exec`` executor can fan out.
+    :meth:`analyze` splices bugs, and under audit each task's audit
+    records, back in marker order, so reports and audit logs are
+    identical regardless of ``config.jobs``.  The naive whole-detector
+    oracle in ``tests/oracle.py`` is the reference this schedule is
+    checked against.
     """
 
     def __init__(self, config=None):
@@ -85,9 +143,7 @@ class XFDetector:
                     self.config, telemetry=self.telemetry,
                     executor=executor,
                 ).run(workload)
-                report = self.analyze(
-                    frontend_result, executor=executor
-                )
+                report = self.analyze(frontend_result)
             tel.emit(
                 "run_finished", workload=workload_name,
                 findings=len(report.bugs),
@@ -101,8 +157,17 @@ class XFDetector:
     # Backend
     # ------------------------------------------------------------------
 
-    def analyze(self, frontend_result, executor=None):
-        """Replay traces from a frontend run and produce the report."""
+    def analyze(self, frontend_result):
+        """Splice a frontend run's checked outcomes into the report.
+
+        Pre-failure bugs found before a marker precede that failure
+        point's post-failure bugs; under audit the tasks' audit records
+        land at the same marker offsets.  Runs whose failure point has
+        no marker in the pre-failure trace are never analyzed (the
+        ``orphaned_post_runs`` gauge counts them); quarantined runs are
+        absent (their incidents carry the provenance).  Every newly
+        completed run is journaled here.
+        """
         tel = self.telemetry
         report = DetectionReport(
             frontend_result.workload_name, telemetry=tel
@@ -122,21 +187,22 @@ class XFDetector:
         )
         stats.pre_trace_events = len(frontend_result.pre_recorder)
         stats.post_trace_events = sum(
-            len(run.recorder) for run in frontend_result.post_runs
+            run.events for run in frontend_result.post_runs
         )
         stats.pre_failure_seconds = frontend_result.pre_seconds
         stats.post_failure_seconds = frontend_result.post_seconds
-        stats.post_runs_deduped = getattr(
+        stats.post_runs_deduped = stats.replays_deduped = getattr(
             frontend_result, "post_runs_deduped", 0
         )
         incident_log = getattr(frontend_result, "incidents", None)
         if incident_log is None:
             incident_log = IncidentLog()
         journal = getattr(frontend_result, "journal", None)
+        pre = frontend_result.pre_replay
 
-        # Canonical replay order: by failure point, base run first,
-        # then variants — the order the frontend produces, re-imposed
-        # here so hand-built results analyze identically.
+        # Canonical order: by failure point, base run first, then
+        # variants — the order the frontend produces, re-imposed here
+        # so hand-built results analyze identically.
         ordered_runs = sorted(
             frontend_result.post_runs,
             key=lambda run: (
@@ -145,358 +211,68 @@ class XFDetector:
                 run.variant or 0,
             ),
         )
-
+        tasks = [
+            run for run in ordered_runs
+            if run.failure_point.fid in pre.bug_offsets
+        ]
+        tel.metrics.gauge("orphaned_post_runs").set(
+            len(ordered_runs) - len(tasks)
+        )
+        stats.post_runs_analyzed = len(tasks)
+        tel.emit("phase_started", phase="backend")
         try:
-            self._analyze_checkpointed(
-                frontend_result, ordered_runs, report, executor,
-                incident_log, journal,
-            )
+            with tel.span("backend") as backend_span:
+                for bug in pre.bugs:
+                    _emit_finding(tel, bug)
+                bug_chunks = []
+                for run in tasks:
+                    fid = run.failure_point.fid
+                    run_bugs = list(run.bugs)
+                    for bug in run_bugs:
+                        _emit_finding(tel, bug)
+                    stats.benign_races += run.benign_races
+                    if run.crash is not None:
+                        run_bugs.append(self._crash_bug(run))
+                        _emit_finding(tel, run_bugs[-1])
+                    bug_chunks.append((fid, run_bugs))
+                    if journal is not None and run.journal_entry is None:
+                        journal.record_post(
+                            fid, run.variant,
+                            events=run.events,
+                            has_roi=run.has_roi,
+                            crash_repr=(
+                                repr(run.crash.original)
+                                if run.crash is not None else None
+                            ),
+                            bugs=run.bugs,
+                            benign_races=run.benign_races,
+                        )
+                report.bugs = _splice(
+                    pre.bugs, pre.bug_offsets, bug_chunks
+                )[0]
+                audit_log = tel.audit
+                if audit_log is not None:
+                    audit_log.adopt(*_splice(
+                        pre.audit_records, pre.audit_offsets,
+                        [
+                            (run.failure_point.fid, run.audit or [])
+                            for run in tasks
+                        ],
+                    ))
         finally:
             if journal is not None:
                 journal.close()
-
+        stats.backend_seconds = pre.seconds + backend_span.duration
+        tel.emit(
+            "phase_finished", phase="backend",
+            seconds=stats.backend_seconds,
+        )
         report.incidents = incident_log.incidents
         tel.metrics.gauge("post_trace_events").set(
             stats.post_trace_events
         )
         tel.metrics.gauge("benign_race_reads").set(stats.benign_races)
         return report
-
-    # -- checkpointed replay ---------------------------------------------
-
-    def _analyze_checkpointed(self, frontend_result, ordered_runs,
-                              report, executor, incident_log=None,
-                              journal=None):
-        """Checkpoint the shadow at each marker during one pre-failure
-        replay, then replay every post-failure trace against a fork of
-        its checkpoint as an independent executor task.
-
-        Bugs — and, under audit, the replays' audit records — are
-        spliced back in marker order (pre-failure items found before a
-        marker precede that failure point's post-failure items), so the
-        report and the audit log are independent of the executor.
-        Runs spliced from a resume journal skip the replay entirely;
-        quarantined runs are dropped (their incidents carry the
-        provenance); and every newly completed run is journaled the
-        moment it is merged, so a killed run loses at most the point
-        being merged.
-        """
-        if incident_log is None:
-            incident_log = IncidentLog()
-        tel = self.telemetry
-        stats = report.stats
-        audit_log = tel.audit
-        # Under audit every replay runs live: a replay-dedup clone
-        # would have no audit records of its own.
-        dedup_on = (
-            getattr(self.config, "dedup", False) and audit_log is None
-        )
-
-        # The pre-failure trace is lowered into a compiled replay
-        # program exactly once; the marker scan below, the pre-replay,
-        # and any checkpoint rebuilds all execute the same program.
-        pre_program = lower_trace(frontend_result.pre_recorder)
-
-        # Tasks are fixed before the pre-replay so replay-level
-        # dedup can decide, at each marker, which runs need a live
-        # checkpoint and which clone an earlier identical replay.
-        marker_fids = {
-            int(instr[3])
-            for instr in pre_program
-            if instr[0] == _FP_CODE
-        }
-        tasks = [
-            run for run in ordered_runs
-            if run.failure_point.fid in marker_fids
-        ]
-        tel.emit(
-            "phase_started", phase="backend",
-            points=sum(
-                1 for run in tasks
-                if getattr(run, "journal_entry", None) is None
-            ),
-        )
-        with tel.span("backend") as backend_span:
-            shadow = ShadowPM(
-                platform=self.config.platform,
-                audit=(
-                    audit_log.scoped(stage="pre")
-                    if audit_log is not None else None
-                ),
-                transition_counter=tel.metrics.counter(
-                    "shadow_transitions_total"
-                ),
-            )
-            pre_has_roi = frontend_result.pre_recorder.has_roi
-            tel.metrics.inc(
-                "replays_roi_scoped" if pre_has_roi
-                else "replays_whole_trace"
-            )
-            pre_replayer = TraceReplayer(
-                shadow, self.config, "pre", report,
-                has_roi=pre_has_roi, metrics=tel.metrics,
-            )
-            tel.metrics.gauge("orphaned_post_runs").set(
-                len(ordered_runs) - len(tasks)
-            )
-            runs_at = {}
-            for task_index, run in enumerate(tasks):
-                runs_at.setdefault(
-                    run.failure_point.fid, []
-                ).append(task_index)
-            # Merged LOAD ranges per exec-dedup class with >1 live
-            # member: the shadow read set a digest must cover.
-            readsets = _class_readsets(tasks) if dedup_on else {}
-
-            checkpoints = ShadowCheckpointCache(
-                self._checkpoint_rebuilder(pre_program, pre_has_roi)
-            )
-            replay_seen = {}  # (class id, digest) -> source task index
-            clone_of = {}  # task index -> source task index
-            insert_at = {}  # fid -> pre-replay bugs before its marker
-            audit_at = {}  # fid -> audit records before its marker
-            # Dispatch the compiled program directly (same table
-            # ``run_program`` uses) so the marker handling can stay
-            # inline without re-testing every instruction twice.
-            dispatch = pre_replayer._dispatch
-            with tel.span("pre_replay"):
-                for instr in pre_program:
-                    code, addr, size, info, ip, tid = instr
-                    if code == _FP_CODE:
-                        fid = int(info)
-                        insert_at[fid] = len(report.bugs)
-                        if audit_log is not None:
-                            audit_at[fid] = len(audit_log.records)
-                        need_live = not dedup_on
-                        digests = {}
-                        for task_index in runs_at.get(fid, ()):
-                            run = tasks[task_index]
-                            if getattr(run, "journal_entry", None) is not None:
-                                continue
-                            cid = (
-                                getattr(run, "dedup_class", None)
-                                if dedup_on else None
-                            )
-                            readset = readsets.get(cid)
-                            if readset is not None:
-                                digest = digests.get(cid)
-                                if digest is None:
-                                    digest = shadow.region_digest(readset)
-                                    digests[cid] = digest
-                                source = replay_seen.get((cid, digest))
-                                if source is not None:
-                                    clone_of[task_index] = source
-                                    continue
-                                replay_seen[(cid, digest)] = task_index
-                            need_live = True
-                        if need_live:
-                            checkpoints.capture(fid, shadow)
-                        else:
-                            checkpoints.note_skipped(fid)
-                    dispatch[code](addr, size, info, ip, tid)
-            pre_bugs = list(report.bugs)
-            for bug in pre_bugs:
-                _emit_finding(tel, bug)
-            if checkpoints.skipped:
-                tel.metrics.inc(
-                    "replay_checkpoints_skipped", checkpoints.skipped
-                )
-
-            results, replays_deduped = self._replay_tasks(
-                tasks, checkpoints, executor, incident_log, clone_of
-            )
-            stats.replays_deduped = replays_deduped
-            stats.post_runs_analyzed = sum(
-                1 for result in results if result is not None
-            )
-
-            bug_chunks = []
-            audit_chunks = []
-            for run, result in zip(tasks, results):
-                if result is None:
-                    continue  # quarantined: outcome lost
-                bugs, benign_races, records = result
-                fid = run.failure_point.fid
-                run_bugs = list(bugs)
-                for bug in bugs:
-                    _emit_finding(tel, bug)
-                stats.benign_races += benign_races
-                if run.crash is not None:
-                    run_bugs.append(self._crash_bug(run))
-                    _emit_finding(tel, run_bugs[-1])
-                bug_chunks.append((fid, run_bugs))
-                audit_chunks.append((fid, records))
-                if journal is not None:
-                    journal.record_post(
-                        fid, run.variant,
-                        events=len(run.recorder),
-                        has_roi=run.recorder.has_roi,
-                        crash_repr=(
-                            repr(run.crash.original)
-                            if run.crash is not None else None
-                        ),
-                        bugs=bugs,
-                        benign_races=benign_races,
-                    )
-            report.bugs = _splice(pre_bugs, insert_at, bug_chunks)[0]
-            if audit_log is not None:
-                audit_log.adopt(
-                    *_splice(audit_log.records, audit_at, audit_chunks)
-                )
-
-        stats.backend_seconds = backend_span.duration
-        tel.emit(
-            "phase_finished", phase="backend",
-            seconds=backend_span.duration,
-        )
-
-    def _checkpoint_rebuilder(self, pre_program, pre_has_roi):
-        """The cache's slow path: rebuild the shadow state at one
-        skipped marker by replaying the pre-failure program prefix
-        into a scratch shadow (fresh counter and report — the live
-        pre-replay already accounted for these events)."""
-
-        def rebuild(fid):
-            shadow = ShadowPM(platform=self.config.platform)
-            replayer = TraceReplayer(
-                shadow, self.config, "pre", DetectionReport(),
-                has_roi=pre_has_roi,
-            )
-            dispatch = replayer._dispatch
-            for code, addr, size, info, ip, tid in pre_program:
-                if code == _FP_CODE and int(info) == fid:
-                    return shadow.checkpoint()
-                dispatch[code](addr, size, info, ip, tid)
-            raise KeyError(fid)
-
-        return rebuild
-
-    def _replay_tasks(self, tasks, checkpoints, executor,
-                      incident_log, clone_of=None):
-        """Run every post-failure replay task; returns one
-        ``(bugs, benign_races, audit_records)`` triple per task, in task
-        order — rebuilt straight from the journal for resumed runs,
-        cloned from the source replay for deduped runs (with per-member
-        failure-point provenance rewritten), None for quarantined
-        ones — plus the number of replays deduped.  Only live replays
-        carry audit records (None when the run is not audited)."""
-        tel = self.telemetry
-        clone_of = clone_of or {}
-        keys = []
-        runs_map = {}
-        journaled = {}
-        for index, run in enumerate(tasks):
-            key = (run.failure_point.fid, run.variant, index)
-            keys.append(key)
-            entry = getattr(run, "journal_entry", None)
-            if entry is not None:
-                journaled[key] = (
-                    [deserialize_bug(bug) for bug in entry["bugs"]],
-                    entry["benign_races"],
-                    None,
-                )
-                continue
-            # Post-failure traces ship to workers pre-lowered: the
-            # compilation cost is paid once here, not per retry/fork.
-            runs_map[key] = (
-                lower_trace(run.recorder), run.recorder.has_roi
-            )
-        live_keys = [
-            key for key in keys
-            if key not in journaled and key[2] not in clone_of
-        ]
-        completed = {}
-        if live_keys:
-            resilience = ResilienceContext.from_config(
-                self.config, "post_replay"
-            )
-            supervisor = PhaseSupervisor(
-                "post_replay", self.config, incident_log, resilience,
-                tel,
-            )
-            ctx = ReplayPhaseContext(
-                strip_config(self.config), checkpoints, runs_map,
-                resilience, audit=tel.audit is not None,
-            )
-            submit = self._replay_submit(
-                executor if executor is not None else SerialExecutor(),
-                ctx,
-            )
-            completed = supervisor.run(submit, live_keys)
-            if clone_of:
-                # A quarantined source replay speaks for nobody: its
-                # clones replay live (rebuilding their checkpoint if
-                # the marker's was skipped) in a fallback wave.
-                fallback = [
-                    key for key in keys
-                    if key[2] in clone_of
-                    and keys[clone_of[key[2]]] not in completed
-                ]
-                if fallback:
-                    tel.metrics.inc(
-                        "dedup_fallback_replays", len(fallback)
-                    )
-                    completed.update(supervisor.run(submit, fallback))
-        results = []
-        replays_deduped = 0
-        for key in keys:
-            if key in journaled:
-                results.append(journaled[key])
-                continue
-            if key in completed:
-                value = completed[key].value
-                results.append(
-                    (value.bugs, value.benign_races, value.audit)
-                )
-                continue
-            source_index = clone_of.get(key[2])
-            source = (
-                completed.get(keys[source_index])
-                if source_index is not None else None
-            )
-            if source is None:
-                results.append(None)  # quarantined: outcome lost
-                continue
-            value = source.value
-            fid = key[0]
-            bugs = [
-                dataclasses.replace(bug, failure_point=fid)
-                if bug.failure_point is not None else bug
-                for bug in value.bugs
-            ]
-            results.append((bugs, value.benign_races, None))
-            # The clone's own replay would have produced the same
-            # task-local counters event for event; merging the
-            # source's registry once per clone keeps run totals
-            # identical to a dedup-off run.
-            tel.metrics.merge(value.metrics)
-            tel.metrics.inc("replays_deduped")
-            tel.metrics.inc(
-                "replay_events_skipped", len(runs_map[key][0])
-            )
-            tel.emit(
-                "dedup_hit", stage="post_replay",
-                fid=fid, variant=key[1],
-            )
-            replays_deduped += 1
-        return results, replays_deduped
-
-    def _replay_submit(self, executor, ctx):
-        """A supervisor submit callable: run one replay wave on
-        ``executor``, graft each completed task's ``post_replay`` span
-        tree (fork/replay children), and merge its task-local metrics
-        — completed tasks only, so a retried task merges once."""
-        tel = self.telemetry
-
-        def submit(wave):
-            outcomes = executor.run_phase(ctx, run_replay_task, wave)
-            graft_outcomes(tel, outcomes)
-            for outcome in outcomes:
-                if outcome.value is not None:
-                    tel.metrics.merge(outcome.value.metrics)
-            return outcomes
-
-        return submit
 
     def _crash_bug(self, post_run):
         """A crashed post-failure execution is itself a finding."""
@@ -568,35 +344,3 @@ def _deterministic_stats(stats):
         "failure_points_skipped_by_plan":
             stats.failure_points_skipped_by_plan,
     }
-
-
-def _class_readsets(tasks):
-    """Merged pre-fork shadow read sets per exec-dedup class.
-
-    Two replays with the same crash image and the same post-failure
-    trace can still differ through the pre-fork shadow state they read
-    (``LOAD`` events consult commit variables, persistence state, and
-    writer provenance at the forked checkpoint).  Replay-level dedup
-    therefore keys on a digest of exactly those shadow regions — the
-    union of every LOAD range in the class's traces.  Classes with a
-    single live member never amortize anything, so they get no read
-    set and replay live.
-    """
-    by_class = {}
-    for run in tasks:
-        cid = getattr(run, "dedup_class", None)
-        if cid is None or getattr(run, "journal_entry", None) is not None:
-            continue
-        by_class.setdefault(cid, []).append(run)
-    readsets = {}
-    for cid, runs in by_class.items():
-        if len(runs) < 2:
-            continue
-        ranges = set()
-        # Deduped members carry their representative's recorder, so
-        # the first member's LOAD set covers the class.
-        for event in runs[0].recorder:
-            if event.kind is EventKind.LOAD:
-                ranges.add((event.addr, event.addr + event.size))
-        readsets[cid] = tuple(sorted(ranges))
-    return readsets

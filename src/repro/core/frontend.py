@@ -11,15 +11,20 @@ complexity O(F · P) (Section 5.4).
 
 The post-failure executions are mutually independent, so the stage is
 *planned* first — a canonical list of ``(fid, variant, mask)`` task
-keys — and then fanned out over a ``repro.exec`` executor.  Results are
-consumed in key order, so the produced ``PostRun`` list (and therefore
-the report) is identical whether the tasks ran serially or on the warm
-process pool.
+keys.  The detector's pre-failure replay then checkpoints the shadow PM
+at every marker with a live task, and the tasks fan out over a
+``repro.exec`` executor: each runs recovery on its crash image while a
+fork of its checkpoint checks every operation as it executes (Section
+5.4's backend, fused with the run it checks).  Results are consumed in
+key order, so the produced ``PostRun`` list (and therefore the report)
+is identical whether the tasks ran serially or on the warm process
+pool.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
+from dataclasses import dataclass, field
 
 from repro.core.injector import FailureInjector
 from repro.core.interface import DetectionComplete, XFInterface
@@ -27,7 +32,6 @@ from repro.errors import CrashSummary, DetectorError, PostFailureCrash
 from repro.exec.base import graft_outcomes, resolve_executor
 from repro.exec.worker import (
     PostPhaseContext,
-    PostTaskOutcome,
     run_post_task,
     strip_config,
 )
@@ -35,10 +39,10 @@ from repro.obs import resolve_telemetry
 from repro.pm.memory import PersistentMemory
 from repro.resilience import (
     IncidentLog,
-    JournaledTrace,
     PhaseSupervisor,
     ResilienceContext,
     RunJournal,
+    deserialize_bug,
     run_checksum,
 )
 from repro.trace.recorder import TraceRecorder
@@ -56,7 +60,7 @@ class ExecutionContext:
 
 @dataclass
 class PostRun:
-    """Result of one post-failure execution.
+    """Result of one post-failure execution, checked as it ran.
 
     ``variant`` is None for the run on the configured crash-image mode
     and a small integer for each additional sampled crash state
@@ -64,13 +68,19 @@ class PostRun:
     """
 
     failure_point: object
-    recorder: TraceRecorder
+    #: Operations the recovery issued (its trace is never kept).
+    events: int = 0
+    #: True when the recovery opened a region of interest.
+    has_roi: bool = False
+    #: The run's findings, in the order its reads found them (the
+    #: recovery crash, if any, is reported separately by the backend).
+    bugs: list = field(default_factory=list)
+    benign_races: int = 0
     crash: Exception | None = None
     seconds: float = 0.0
     variant: int | None = None
     #: When this run was spliced from a resume journal instead of
-    #: executed, the journal record (the backend skips its replay and
-    #: rebuilds the recorded bugs from it).
+    #: executed, the journal record its outcome was rebuilt from.
     journal_entry: dict | None = None
     #: Crash-state equivalence class id (``repro.dedup``), or None
     #: when dedup is off / the run was journaled.
@@ -78,6 +88,8 @@ class PostRun:
     #: True when this run's outcome was cloned from its class
     #: representative instead of executed.
     deduped: bool = False
+    #: The run's audit records under audit, else None.
+    audit: list | None = None
 
     def __repr__(self):
         return f"PostRun({self.describe()})"
@@ -88,7 +100,7 @@ class PostRun:
         bits = [f"fid={fid}"]
         if self.variant is not None:
             bits.append(f"variant={self.variant}")
-        bits.append(f"events={len(self.recorder)}")
+        bits.append(f"events={self.events}")
         if self.crash is not None:
             bits.append("crashed")
         if self.journal_entry is not None:
@@ -111,8 +123,7 @@ class FrontendResult:
     pre_seconds: float = 0.0
     post_seconds: float = 0.0
     uses_roi: bool = False
-    #: The run's shared ``IncidentLog`` (the backend keeps recording
-    #: into it during replay), or None for hand-built results.
+    #: The run's shared ``IncidentLog``, or None for hand-built results.
     incidents: object | None = None
     #: The run's ``RunJournal``, or None when journaling is off.
     journal: object | None = None
@@ -126,6 +137,9 @@ class FrontendResult:
     plan_set: object | None = None
     #: The ``repro.analysis.mech.MechReport`` behind the plan set.
     mech_report: object | None = None
+    #: The pre-failure replay (``repro.core.detector.PreReplay``): the
+    #: pre-failure bugs and where each marker's post runs splice in.
+    pre_replay: object | None = None
 
     def __repr__(self):
         return f"FrontendResult({self.describe()})"
@@ -272,8 +286,28 @@ class Frontend:
                 workload_name,
             )
 
+        plan = self._post_plan(injector)
+        journaled = {}
+        if journal is not None and journal.entries:
+            for key in plan:
+                entry = journal.entry_for(key[0], key[1])
+                if entry is not None:
+                    journaled[key] = entry
+            if journaled:
+                tel.metrics.inc("journal.points_resumed", len(journaled))
+        # The backend's pre-failure replay runs here, once, so every
+        # checkpoint a post-failure task forks exists before dispatch.
+        from repro.core.detector import replay_pre_trace
+
+        pre_replay = replay_pre_trace(
+            self.config, tel, pre_recorder,
+            {key[0] for key in plan if key not in journaled},
+        )
         post_runs, post_seconds, deduped, dedup_classes = \
-            self._post_stage(workload, injector, uses_roi, journal)
+            self._post_stage(
+                workload, injector, uses_roi, plan, journaled,
+                pre_replay.checkpoints,
+            )
         tel.metrics.gauge("pre_trace_events").set(len(pre_recorder))
 
         return FrontendResult(
@@ -290,6 +324,7 @@ class Frontend:
             dedup_classes=dedup_classes,
             plan_set=plan_set,
             mech_report=mech_report,
+            pre_replay=pre_replay,
         )
 
     def _build_crash_plans(self, workload_name, pre_recorder,
@@ -373,48 +408,39 @@ class Frontend:
             )
         return keys
 
-    def _post_stage(self, workload, injector, uses_roi, journal=None):
-        """Run every planned post-failure execution on an executor.
+    def _post_stage(self, workload, injector, uses_roi, plan, journaled,
+                    checkpoints):
+        """Run every planned post-failure task on an executor.
 
-        Each task records its own ``post_run`` span tree and the
-        submit callable grafts it into the run profile (tagged with the
-        worker when a pool ran it).  A
-        :class:`PhaseSupervisor` drives the submissions, so harness
-        faults quarantine individual keys instead of aborting the
-        stage, and points completed by a resume journal are spliced in
-        without executing at all.  Either way the results are consumed
-        in plan order, so the returned ``PostRun`` list is
-        schedule-independent.
+        Each task restores its crash image, forks its failure point's
+        shadow checkpoint and checks recovery's operations as they run.
+        It records its own ``post_run`` span tree and the submit
+        callable grafts it into the run profile (tagged with the worker
+        when a pool ran it).  A :class:`PhaseSupervisor` drives the
+        submissions, so harness faults quarantine individual keys
+        instead of aborting the stage, and points completed by a resume
+        journal are rebuilt from their records without executing at
+        all.  Either way the results are consumed in plan order, so the
+        returned ``PostRun`` list is schedule-independent.
         """
         tel = self.telemetry
-        plan = self._post_plan(injector)
         post_seconds = injector.snapshot_seconds
         if not plan:
             return [], post_seconds, 0, None
-        journaled = {}
-        keys = plan
-        if journal is not None and journal.entries:
-            keys = []
-            for key in plan:
-                entry = journal.entry_for(key[0], key[1])
-                if entry is not None:
-                    journaled[key] = entry
-                else:
-                    keys.append(key)
-            if journaled:
-                tel.metrics.inc(
-                    "journal.points_resumed", len(journaled)
-                )
-
+        keys = [key for key in plan if key not in journaled]
         tel.emit(
             "phase_started", phase="post_exec", points=len(keys)
         )
 
         # Crash-state dedup: bucket the live keys by (mask, crash-image
-        # fingerprint); only class representatives execute, in plan
-        # order, and members clone their outcome below.
+        # fingerprint); only class representatives run at first.  A
+        # member clones its representative's outcome when the shadow
+        # state the representative read is equal at both checkpoints,
+        # and runs itself otherwise.  Audited runs never clone: a clone
+        # would have no audit records of its own.
         index = None
-        if keys and getattr(self.config, "dedup", False):
+        if keys and getattr(self.config, "dedup", False) \
+                and tel.audit is None:
             from repro.dedup import DedupIndex
 
             index = DedupIndex.build(keys, injector.store)
@@ -423,6 +449,7 @@ class Frontend:
             )
 
         completed = {}
+        fallback = ()
         if keys:
             executor = self.executor
             owned = executor is None
@@ -431,9 +458,14 @@ class Frontend:
             resilience = ResilienceContext.from_config(
                 self.config, "post_exec"
             )
+            shared_reps = frozenset(
+                index.rep_for(key) for key in keys
+                if index is not None and index.rep_for(key) != key
+            )
             ctx = PostPhaseContext(
                 strip_config(self.config), workload, injector.store,
-                uses_roi, resilience,
+                uses_roi, resilience, checkpoints, tel.audit is not None,
+                shared_reps,
             )
             supervisor = PhaseSupervisor(
                 "post_exec", self.config, self.incident_log,
@@ -444,10 +476,10 @@ class Frontend:
                 exec_keys = keys if index is None else index.rep_keys()
                 completed = supervisor.run(submit, exec_keys)
                 if index is not None:
-                    # A quarantined representative speaks for nobody:
-                    # its members run themselves in a fallback wave
-                    # rather than silently losing the whole class.
-                    fallback = index.fallback_keys(completed)
+                    fallback = index.fallback_keys(
+                        completed,
+                        _same_reads(completed, checkpoints),
+                    )
                     if fallback:
                         tel.metrics.inc(
                             "dedup_fallback_runs", len(fallback)
@@ -460,25 +492,24 @@ class Frontend:
                     executor.close()
 
         fps = {fp.fid: fp for fp in injector.failure_points}
+        fallback = set(fallback)
         post_runs = []
         deduped_count = 0
         for key in plan:
+            fid, variant = key[0], key[1]
             entry = journaled.get(key)
             if entry is not None:
-                crash = None
-                if entry["crash"] is not None:
-                    crash = PostFailureCrash(
-                        key[0], CrashSummary(entry["crash"])
-                    )
                 post_runs.append(
                     PostRun(
-                        failure_point=fps[key[0]],
-                        recorder=JournaledTrace(
-                            entry["events"], entry["has_roi"]
-                        ),
-                        crash=crash,
-                        seconds=0.0,
-                        variant=key[1],
+                        failure_point=fps[fid],
+                        events=entry["events"],
+                        has_roi=entry["has_roi"],
+                        bugs=[
+                            deserialize_bug(bug) for bug in entry["bugs"]
+                        ],
+                        benign_races=entry["benign_races"],
+                        crash=_rebuild_crash(fid, entry["crash"]),
+                        variant=variant,
                         journal_entry=entry,
                     )
                 )
@@ -490,57 +521,60 @@ class Frontend:
             deduped = False
             if outcome is not None:
                 value = outcome.value
+                bugs = value.bugs
+                seconds = value.seconds
             else:
-                # Cloned member: synthesize the outcome from the class
-                # representative with this key's own provenance.  The
-                # recorder is shared read-only; the crash is rebuilt
-                # below with the member fid, so its message matches an
+                # Cloned member: the representative's outcome with this
+                # key's own provenance.  Its bugs are re-tagged and its
+                # crash rebuilt with the member fid, so both match an
                 # undeduplicated run byte for byte.
-                value = None
-                if index is not None:
-                    rep = index.rep_for(key)
-                    rep_outcome = (
-                        completed.get(rep) if rep != key else None
-                    )
-                    if rep_outcome is not None:
-                        source = rep_outcome.value
-                        value = PostTaskOutcome(
-                            key[0], key[1], source.recorder,
-                            source.crash_repr, 0.0,
-                        )
-                        deduped = True
-                        deduped_count += 1
-                        tel.metrics.inc("post_runs_deduped")
-                        tel.emit(
-                            "dedup_hit", stage="post_exec",
-                            fid=key[0], variant=key[1],
-                            dedup_class=dedup_class,
-                        )
-                if value is None:
-                    continue  # quarantined: outcome lost, incident logged
-            crash = None
-            if value.crash_repr is not None:
-                # Rebuilt from the repr either way, so the message is
-                # byte-identical across in-process and forked workers.
-                crash = PostFailureCrash(
-                    value.fid, CrashSummary(value.crash_repr)
+                rep = (
+                    index.rep_for(key)
+                    if index is not None and key not in fallback
+                    else key
                 )
+                rep_outcome = completed.get(rep) if rep != key else None
+                if rep_outcome is None:
+                    continue  # quarantined: outcome lost, incident logged
+                value = rep_outcome.value
+                bugs = [
+                    dataclasses.replace(bug, failure_point=fid)
+                    if bug.failure_point is not None else bug
+                    for bug in value.bugs
+                ]
+                seconds = 0.0
+                deduped = True
+                deduped_count += 1
+                # The clone's own run would have counted the same
+                # task-local metrics event for event.
+                tel.metrics.merge(value.metrics)
+                tel.metrics.inc("post_runs_deduped")
+                tel.metrics.inc("replay_events_skipped", value.events)
+                tel.emit(
+                    "dedup_hit", stage="post_exec",
+                    fid=fid, variant=variant, dedup_class=dedup_class,
+                )
+            crash = _rebuild_crash(fid, value.crash_repr)
             tel.metrics.inc("post_runs")
             if crash is not None:
                 tel.metrics.inc("post_run_crashes")
             tel.metrics.histogram("post_run_trace_events").observe(
-                len(value.recorder)
+                value.events
             )
-            post_seconds += value.seconds
+            post_seconds += seconds
             post_runs.append(
                 PostRun(
-                    failure_point=fps[value.fid],
-                    recorder=value.recorder,
+                    failure_point=fps[fid],
+                    events=value.events,
+                    has_roi=value.has_roi,
+                    bugs=bugs,
+                    benign_races=value.benign_races,
                     crash=crash,
-                    seconds=value.seconds,
-                    variant=value.variant,
+                    seconds=seconds,
+                    variant=variant,
                     dedup_class=dedup_class,
                     deduped=deduped,
+                    audit=value.audit,
                 )
             )
         dedup_classes = index.dedup_classes if index is not None else None
@@ -548,15 +582,49 @@ class Frontend:
         return post_runs, post_seconds, deduped_count, dedup_classes
 
     def _submit(self, executor, ctx):
-        """A supervisor submit callable: run one wave on ``executor``
-        and graft each completed task's span tree (a ``post_run`` root
+        """A supervisor submit callable: run one wave on ``executor``,
+        graft each completed task's span tree (a ``post_run`` root
         with materialize/recovery children) into the run profile, so
-        pool runs profile exactly like serial ones."""
+        pool runs profile exactly like serial ones, and merge its
+        task-local metrics — completed tasks only, so a retried task
+        merges once."""
         tel = self.telemetry
 
         def submit(wave):
             outcomes = executor.run_phase(ctx, run_post_task, wave)
             graft_outcomes(tel, outcomes)
+            for outcome in outcomes:
+                if outcome.value is not None:
+                    tel.metrics.merge(outcome.value.metrics)
             return outcomes
 
         return submit
+
+
+def _rebuild_crash(fid, crash_repr):
+    """The ``PostFailureCrash`` of a run whose crash travelled as a
+    repr: rebuilt from the repr either way, so the message is
+    byte-identical across in-process and forked workers."""
+    if crash_repr is None:
+        return None
+    return PostFailureCrash(fid, CrashSummary(crash_repr))
+
+
+def _same_reads(completed, checkpoints):
+    """The dedup carry-over test: a representative's outcome holds for
+    a class member when the shadow state the representative's run read
+    — its LOAD ranges — is equal at both failure points' checkpoints.
+    The two runs then execute the same recovery on the same crash
+    image and check every read against the same state."""
+    digests = {}
+
+    def same(rep, key):
+        reads = completed[rep].value.reads
+        digest = digests.get(rep)
+        if digest is None:
+            digest = digests[rep] = checkpoints[rep[0]].region_digest(
+                reads
+            )
+        return checkpoints[key[0]].region_digest(reads) == digest
+
+    return same

@@ -2,7 +2,7 @@
 
 The backend replays the pre-failure trace once, updating the shadow PM
 event by event.  At each ``FAILURE_POINT`` marker it checkpoints the
-shadow, and each corresponding post-failure trace is replayed against a
+shadow, and each corresponding post-failure run is checked against a
 fork of that checkpoint, classifying every post-failure read:
 
 1. reads inside library internals or skip-detection regions — skipped;
@@ -19,20 +19,34 @@ During the pre-failure replay the backend also reports performance
 bugs: redundant writebacks (Figure 9's yellow edges) and duplicated
 ``TX_ADD`` of an already-added range.
 
-Hot path: traces are pre-lowered once by :func:`lower_trace` into
-*compiled replay programs* — flat tuples of ``(kind_code, addr, size,
-info, ip, tid)`` scalars — and executed by
-:meth:`TraceReplayer.run_program`, the replayer's one entry point,
-which dispatches each instruction through a per-instance handler table
-indexed by the integer kind code.  No event objects, enum hashing, or
-attribute loads per replayed operation.
+A replayer has two entry points over one per-instance handler table
+indexed by the integer kind code:
+
+* :meth:`TraceReplayer.run_program` executes a *compiled replay
+  program* — the flat ``(kind_code, addr, size, info, ip, tid)`` tuples
+  :func:`lower_trace` builds from a recorded trace.  The pre-failure
+  trace takes this path.
+* :meth:`TraceReplayer.on_op` is the runtime observer hook
+  (``PersistentMemory.add_observer``): a post-failure execution feeds
+  each operation to a fork of its checkpoint *as it runs*, so its
+  trace is never recorded.  Such a *live* replayer does not know up
+  front whether the run opens a region of interest, and its reads
+  carry no call site; both are resolved as the stream goes (see
+  ``has_roi=None`` and ``lazy_ips``).
 """
 
 from __future__ import annotations
 
+from repro._location import UNKNOWN_LOCATION, capture_location
 from repro._rangemap import RangeMap
 from repro.core.report import Bug, BugKind
-from repro.core.shadow import ConsistencyState, PersistenceState
+from repro.core.shadow import (
+    ConsistencyState,
+    PersistenceState,
+    _covered_by,
+    _subtract,
+)
+from repro.pm.address import AddressRange
 from repro.pm.cacheline import FlushKind
 from repro.trace.events import KIND_BY_CODE, KIND_CODE, EventKind
 
@@ -72,21 +86,50 @@ def lower_trace(recorder):
 
 
 class TraceReplayer:
-    """Replays one trace stream against a shadow PM."""
+    """Replays one trace stream against a shadow PM.
+
+    ``has_roi`` says whether the stream holds a region of interest:
+    when True, read checks are confined to the marked regions.  A live
+    stream (``has_roi=None``, post stage) cannot know that up front, so
+    it checks reads from the start and, at its first ``ROI_BEGIN``,
+    discards everything those checks produced — bugs, benign races,
+    first-read marks and the read tally.  Shadow mutations never depend
+    on the RoI, so the result equals a replay of the recorded trace.
+
+    ``lazy_ips``: the stream's operations carry no call site, and a
+    reported read resolves its reader from the live stack instead.  The
+    walk crosses only runtime frames (this module among them), so it
+    lands on the frame ``PersistentMemory.load`` would have recorded.
+
+    ``collect_reads``: remember every LOAD range in ``read_ranges`` —
+    the shadow read set a dedup decision digests.
+
+    Tallies (checked reads, bugs by kind, the RoI scope) reach
+    ``metrics`` once, in :meth:`finish`.
+    """
 
     def __init__(self, shadow, config, stage, report,
-                 failure_point=None, has_roi=False, metrics=None):
+                 failure_point=None, has_roi=False, metrics=None,
+                 lazy_ips=False, collect_reads=False):
         self.shadow = shadow
         self.config = config
         self.stage = stage  # "pre" or "post"
         self.report = report
         self.failure_point = failure_point
-        #: Optional ``repro.obs.MetricsRegistry``: counts replayed
-        #: events, checked reads, and reported bugs per kind.
+        #: Optional ``repro.obs.MetricsRegistry`` that :meth:`finish`
+        #: publishes the replay's tallies into.
         self.metrics = metrics
         # When the trace contains RoI markers, detection is confined to
         # the marked regions; otherwise the whole trace is of interest.
         self.roi_active = not has_roi
+        #: True once the stream is known to be RoI-scoped.
+        self.roi_scoped = bool(has_roi)
+        self._roi_pending = has_roi is None
+        self._lazy_ips = lazy_ips
+        #: Post-failure reads checked (RoI-confined, first reads only).
+        self.reads_checked = 0
+        #: LOAD ranges seen, when collecting (``collect_reads``).
+        self.read_ranges = set() if collect_reads else None
         self._is_pre = stage == "pre"
         self._is_post = stage == "post"
         # Per-thread replay state (events carry a tid, Section 7):
@@ -103,13 +146,21 @@ class TraceReplayer:
         self._checked = RangeMap(False)
         # Config is immutable per run; snapshot the per-read flag.
         self._first_read_only = config.first_read_only
-        # Instruction dispatch table, indexed by kind code.
+        # Instruction dispatch table, indexed by kind code.  Reads are
+        # checked only after a failure; flushes and fences only move
+        # pre-failure state (post-failure ones write back values that
+        # came from the crash image, and post-failure writes are
+        # already exempt through ``post_written``).
         handlers = [self._op_nop] * len(KIND_BY_CODE)
         handlers[KIND_CODE[EventKind.STORE]] = self._op_store
         handlers[KIND_CODE[EventKind.NT_STORE]] = self._op_nt_store
-        handlers[KIND_CODE[EventKind.LOAD]] = self._op_load
-        handlers[KIND_CODE[EventKind.FLUSH]] = self._op_flush
-        handlers[KIND_CODE[EventKind.FENCE]] = self._op_fence
+        if self._is_post:
+            handlers[KIND_CODE[EventKind.LOAD]] = (
+                self._collect_read if collect_reads else self._check_read
+            )
+        if self._is_pre:
+            handlers[KIND_CODE[EventKind.FLUSH]] = self._op_flush
+            handlers[KIND_CODE[EventKind.FENCE]] = self._op_fence
         handlers[KIND_CODE[EventKind.TX_BEGIN]] = self._op_tx_begin
         handlers[KIND_CODE[EventKind.TX_ADD]] = self._op_tx_add
         handlers[KIND_CODE[EventKind.TX_COMMIT]] = self._op_tx_commit
@@ -149,9 +200,9 @@ class TraceReplayer:
 
     def _bug(self, kind, detail, addr=0, size=0, reader_ip=None,
              writer_ip=None):
-        from repro._location import UNKNOWN_LOCATION
-
-        bug = Bug(
+        if reader_ip is None and self._lazy_ips:
+            reader_ip = capture_location()
+        self.report.bugs.append(Bug(
             kind=kind,
             detail=detail,
             address=addr,
@@ -159,29 +210,39 @@ class TraceReplayer:
             failure_point=self.failure_point,
             reader_ip=reader_ip or UNKNOWN_LOCATION,
             writer_ip=writer_ip or UNKNOWN_LOCATION,
+        ))
+
+    def finish(self):
+        """Publish the replay's tallies into ``metrics`` (call once,
+        after the last operation)."""
+        metrics = self.metrics
+        if metrics is None:
+            return
+        metrics.inc(
+            "replays_roi_scoped" if self.roi_scoped
+            else "replays_whole_trace"
         )
-        self.report.bugs.append(bug)
-        if self.metrics is not None:
-            self.metrics.inc("bugs_reported_total")
-            self.metrics.inc(f"bugs_reported.{kind.name.lower()}")
+        if self.reads_checked:
+            metrics.inc("post_reads_checked", self.reads_checked)
+        for bug in self.report.bugs:
+            metrics.inc("bugs_reported_total")
+            metrics.inc(f"bugs_reported.{bug.kind.name.lower()}")
 
     # ------------------------------------------------------------------
     # Instruction dispatch
     # ------------------------------------------------------------------
 
-    def run_program(self, program, deadline=None):
+    def run_program(self, program):
         """Execute a compiled replay program (see :func:`lower_trace`).
 
-        This is the backend's hot loop: one tuple unpack and one table
-        dispatch per instruction."""
+        One tuple unpack and one table dispatch per instruction."""
         dispatch = self._dispatch
-        if deadline is None:
-            for code, addr, size, info, ip, tid in program:
-                dispatch[code](addr, size, info, ip, tid)
-        else:
-            for code, addr, size, info, ip, tid in program:
-                deadline.tick()
-                dispatch[code](addr, size, info, ip, tid)
+        for code, addr, size, info, ip, tid in program:
+            dispatch[code](addr, size, info, ip, tid)
+
+    def on_op(self, code, addr, size, info, ip, tid):
+        """Observer hook: check one runtime operation as it executes."""
+        self._dispatch[code](addr, size, info, ip, tid)
 
     # -- instruction handlers ------------------------------------------
 
@@ -211,18 +272,7 @@ class TraceReplayer:
             thread.tx_active,
         )
 
-    def _op_load(self, addr, size, info, ip, tid):
-        if self._is_post:
-            self._check_read(addr, size, ip, tid)
-
     def _op_flush(self, addr, size, info, ip, tid):
-        # Post-failure flushes must not upgrade pre-failure data to
-        # "persisted": the value they write back came from the
-        # crash image, so the read classification has to reflect
-        # the state *at the failure* (post-failure writes are
-        # already exempt through post_written).
-        if not self._is_pre:
-            return
         if info == _CLFLUSH_INFO:
             useful = self.shadow.record_clflush(addr, ip=ip)
         else:
@@ -241,8 +291,7 @@ class TraceReplayer:
             )
 
     def _op_fence(self, addr, size, info, ip, tid):
-        if self._is_pre:
-            self.shadow.record_fence(ip=ip)
+        self.shadow.record_fence(ip=ip)
 
     def _op_tx_begin(self, addr, size, info, ip, tid):
         thread = self._thread(tid)
@@ -251,6 +300,10 @@ class TraceReplayer:
         thread.tx_writes = []
 
     def _op_tx_add(self, addr, size, info, ip, tid):
+        if ip is None and self._lazy_ips:
+            # The one post-failure writer a read can still report: a
+            # range added, then freed, then read.
+            ip = capture_location()
         thread = self._thread(tid)
         duplicate = _covered(addr, size, thread.tx_added)
         if (
@@ -302,6 +355,15 @@ class TraceReplayer:
         self._thread(tid).skip_depth -= 1
 
     def _op_roi_begin(self, addr, size, info, ip, tid):
+        if self._roi_pending:
+            # A live stream just turned out to be RoI-scoped: drop what
+            # the reads before its first region produced.
+            self._roi_pending = False
+            self.roi_scoped = True
+            self.report.bugs.clear()
+            self.report.stats.benign_races = 0
+            self._checked = RangeMap(False)
+            self.reads_checked = 0
         self.roi_active = True
 
     def _op_roi_end(self, addr, size, info, ip, tid):
@@ -317,7 +379,11 @@ class TraceReplayer:
     # Post-failure read classification
     # ------------------------------------------------------------------
 
-    def _check_read(self, addr, size, ip, tid):
+    def _collect_read(self, addr, size, info, ip, tid):
+        self.read_ranges.add((addr, addr + size))
+        self._check_read(addr, size, info, ip, tid)
+
+    def _check_read(self, addr, size, info, ip, tid):
         # Inlined self._suppressed(tid): this runs once per post-failure
         # load, the hottest check in the backend.
         state = self._threads.get(tid)
@@ -326,8 +392,7 @@ class TraceReplayer:
         if not self.roi_active or state.lib_depth > 0 \
                 or state.skip_depth > 0:
             return
-        if self.metrics is not None:
-            self.metrics.inc("post_reads_checked")
+        self.reads_checked += 1
         start, end = addr, addr + size
         shadow = self.shadow
 
@@ -335,7 +400,7 @@ class TraceReplayer:
             benign_var = shadow.commit_var_covering(start, end)
             if benign_var is not None and \
                     benign_var.var_range.contains_range(
-                        _as_range(start, end)
+                        AddressRange(start, size)
                     ):
                 # Reading the commit variable itself: benign race.
                 self.report.stats.benign_races += 1
@@ -364,12 +429,17 @@ class TraceReplayer:
         ):
             if written:
                 continue
-            # Commit-variable bytes inside a larger read are benign.
+            # Commit-variable bytes inside a larger read are benign,
+            # one benign race per variable the read overlaps.
             if have_vars:
-                var = shadow.commit_var_covering(s, e)
-                if var is not None:
-                    self.report.stats.benign_races += 1
-                    for sub_s, sub_e in _outside(s, e, var.var_range):
+                probe = AddressRange(s, e - s)
+                holes = [
+                    var.var_range for var in shadow.commit_vars.values()
+                    if var.var_range.overlaps(probe)
+                ]
+                if holes:
+                    self.report.stats.benign_races += len(holes)
+                    for sub_s, sub_e in _outside(s, e, holes):
                         self._classify_plain(sub_s, sub_e, reader_ip)
                     continue
             self._classify_plain(s, e, reader_ip)
@@ -430,18 +500,15 @@ class TraceReplayer:
 
 def _covered(addr, size, ranges):
     """Is [addr, addr+size) fully covered by the (addr, size) ranges?"""
-    from repro.core.shadow import _covered_by
-
     return bool(ranges) and _covered_by(addr, addr + size, ranges)
 
 
-def _as_range(start, end):
-    from repro.pm.address import AddressRange
-
-    return AddressRange(start, end - start)
-
-
-def _outside(start, end, hole):
-    from repro.core.shadow import _subtract
-
-    yield from _subtract(start, end, hole)
+def _outside(start, end, holes):
+    """The sub-windows of [start, end) outside every AddressRange in
+    ``holes``, in address order."""
+    pieces = [(start, end)]
+    for hole in holes:
+        pieces = [
+            piece for s, e in pieces for piece in _subtract(s, e, hole)
+        ]
+    return pieces

@@ -22,7 +22,6 @@ paper's Figure 11 walkthrough.
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass, field
 
 from repro._rangemap import RangeMap
@@ -239,8 +238,8 @@ class ShadowPM:
         commit-variable ranges overlapping the read (post stores
         return before the commit logic, and post FLUSH/FENCE events
         are not applied at all).  Two forks with equal digests over a
-        post-trace's load set therefore produce identical findings for
-        that trace.  Commit epochs, ``tlast``, the global epoch, and
+        post-failure run's load set therefore produce identical
+        findings for that run.  Commit epochs, ``tlast``, the global epoch, and
         pending lines are deliberately excluded — the post path writes
         but never reads them, and including them would split states
         that replay identically.
@@ -702,35 +701,20 @@ class ShadowPM:
 
 
 class ShadowCheckpointCache:
-    """Keyed cache of shadow checkpoints at failure-point markers.
+    """Shadow checkpoints at failure-point markers, keyed by fid.
 
-    The checkpointed backend used to ``copy()`` the shadow at *every*
-    marker; with crash-state dedup most markers have no live replay
-    (their runs clone a representative's findings), so the cache
-    captures checkpoints only where one is needed and **rebuilds**
-    missing ones on demand by replaying the pre-failure trace prefix —
-    the slow path taken only when a quarantined representative forces
-    a fallback replay at a skipped marker.
-
-    Dict-like on purpose: worker task bodies index it exactly like the
-    plain ``{fid: ShadowPM}`` dict it replaces.
+    The pre-failure replay captures one at every marker that has a
+    live post-failure task, before any task is dispatched; each task
+    then runs against a fork of its marker's checkpoint.  Dict-like on
+    purpose: task bodies index it exactly like the ``{fid: ShadowPM}``
+    dict a warm worker receives per batch.
     """
 
-    def __init__(self, rebuild=None):
+    def __init__(self):
         self._checkpoints = {}
-        self._rebuild = rebuild
-        self._lock = threading.Lock()
-        #: Markers that never got a checkpoint (every run there was
-        #: deduped, journaled, or absent).
-        self.skipped = 0
-        #: Skipped markers later rebuilt for a fallback replay.
-        self.rebuilt = 0
 
     def capture(self, fid, shadow):
         self._checkpoints[fid] = shadow.checkpoint()
-
-    def note_skipped(self, fid):
-        self.skipped += 1
 
     def __contains__(self, fid):
         return fid in self._checkpoints
@@ -739,18 +723,7 @@ class ShadowCheckpointCache:
         return len(self._checkpoints)
 
     def __getitem__(self, fid):
-        checkpoint = self._checkpoints.get(fid)
-        if checkpoint is not None:
-            return checkpoint
-        if self._rebuild is None:
-            raise KeyError(fid)
-        with self._lock:
-            checkpoint = self._checkpoints.get(fid)
-            if checkpoint is None:
-                checkpoint = self._rebuild(fid)
-                self._checkpoints[fid] = checkpoint
-                self.rebuilt += 1
-        return checkpoint
+        return self._checkpoints[fid]
 
 
 def _covered_by(start, end, ranges):

@@ -3,11 +3,11 @@
 Many failure points crash into byte-identical pool images — no persist
 landed between two ordering points, or a sampled crash-state variant
 reverted the only volatile lines that differed.  Re-running recovery
-and re-replaying the post-failure trace for each of them repeats work
-whose outcome is already known: workload execution is deterministic, so
-identical crash images produce identical post-failure traces, and
-identical shadow state over a trace's read set produces identical
-replay findings.  This package removes that redundancy in three layers:
+for each of them repeats work whose outcome is already known: workload
+execution is deterministic, so identical crash images produce the same
+post-failure operations, and identical shadow state over a run's read
+set produces identical findings.  This package removes that redundancy
+in three layers:
 
 * :mod:`repro.dedup.fingerprint` — an incremental XOR-fold content
   hash over the delta snapshot store's touched cache lines, so equal
@@ -15,8 +15,9 @@ replay findings.  This package removes that redundancy in three layers:
   full pool;
 * :mod:`repro.dedup.classes` — :class:`DedupIndex`, the equivalence
   classes of post-failure task keys: one representative per class
-  executes, the others receive its outcome with per-member provenance
-  rewritten (and fall back to executing themselves if the
+  runs first, and a member receives its outcome with per-member
+  provenance rewritten when the shadow state the representative read
+  is equal at both checkpoints (and runs itself otherwise, or when the
   representative is quarantined — a class is never silently dropped);
 * :mod:`repro.dedup.memo` — :class:`ImageMemo`, a per-worker rolling
   crash-image buffer advanced by per-failure-point deltas, replacing

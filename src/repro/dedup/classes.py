@@ -3,10 +3,10 @@
 The frontend's post-failure plan is a list of ``(fid, variant, mask)``
 keys.  Two keys whose crash images are fingerprint-identical and whose
 survivor masks match start recovery from the same bytes; workload
-execution is deterministic, so their post-failure runs (and, with equal
-shadow state over the trace's read set, their replays) have identical
-outcomes.  A :class:`DedupIndex` buckets the keys so only one
-representative per class executes.
+execution is deterministic, so their post-failure runs issue the same
+operations, and with equal shadow state over the run's read set they
+report the same findings.  A :class:`DedupIndex` buckets the keys so
+only one representative per class runs first.
 """
 
 from __future__ import annotations
@@ -67,19 +67,28 @@ class DedupIndex:
         class ids are assigned as keys are scanned)."""
         return list(self._reps.values())
 
-    def fallback_keys(self, completed):
-        """Members whose representative never completed (quarantined).
+    def fallback_keys(self, completed, carries_over=None):
+        """Members that must run themselves, class by class in plan
+        order: their representative never completed (quarantined), or
+        ``carries_over(rep, key)`` says its outcome does not hold for
+        them.
 
-        They must run themselves — a quarantined representative speaks
-        for nobody, and silently dropping a whole class would turn one
-        harness fault into many missing outcomes.
+        A quarantined representative speaks for nobody, and silently
+        dropping a whole class would turn one harness fault into many
+        missing outcomes.
         """
         keys = []
         for cid, members in self.members.items():
             rep = self._reps[cid]
-            if rep in completed:
-                continue
-            keys.extend(key for key in members if key != rep)
+            done = rep in completed
+            keys.extend(
+                key for key in members
+                if key != rep and not (
+                    done and (
+                        carries_over is None or carries_over(rep, key)
+                    )
+                )
+            )
         return keys
 
     def __repr__(self):

@@ -2,9 +2,10 @@
 
 The detection pipeline's cost is dominated by the O(F · P)
 post-failure work (paper Section 5.4, Figure 13): one post-failure
-execution and one post-failure replay per failure point, all mutually
-independent.  This package runs both phases on one of two executors,
-chosen by :func:`~repro.exec.base.resolve_executor` from ``jobs``:
+execution per failure point, checked against its shadow checkpoint as
+it runs, all mutually independent.  This package runs that phase on
+one of two executors, chosen by
+:func:`~repro.exec.base.resolve_executor` from ``jobs``:
 
 * :class:`~repro.exec.base.SerialExecutor` — in-process, the default
   and the reference schedule (``jobs=1`` or no ``fork`` start method);

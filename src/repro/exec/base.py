@@ -117,8 +117,8 @@ def resolve_executor(config, telemetry=None):
 
     Serial runs when ``jobs <= 1`` or when the platform has no
     ``fork`` start method.  Every other run gets the warm process
-    pool — audited runs included: replay tasks ship their audit
-    records back in their outcomes.
+    pool — audited runs included: post-failure tasks ship their
+    audit records back in their outcomes.
     """
     from repro.exec.pool import WarmProcessExecutor
 

@@ -70,7 +70,7 @@ class WarmProcessExecutor:
 
     Workers are spawned once (ideally via :meth:`prewarm`, before the
     pre-failure stage grows the parent) and survive across phases,
-    retry waves, and the post→replay transition.  Dispatch discipline:
+    retry waves, and dedup fallback waves.  Dispatch discipline:
     a batch is only sent to an *idle* worker — one whose previous
     result has been received — so the worker is guaranteed to be in
     its receive loop and pipe writes cannot deadlock.

@@ -286,7 +286,6 @@ class ShmSnapshotPlane:
 
     Publication is cached by store identity (a strong reference keeps
     the id stable), so the retry waves and fallback waves of one phase
-    — and the post and replay phases of one run sharing a store —
     publish once.  ``close()`` unlinks everything; the owning executor
     calls it from its own ``close()``.
     """

@@ -5,10 +5,10 @@ nothing it writes: the (telemetry-stripped) config, the workload, the
 delta snapshot store, shadow checkpoints.  The serial executor passes
 it to each task by reference; the warm pool ships it to its workers
 once per phase as a pickled blob, with the snapshot store swapped for
-a shared-memory view (``export_for_workers``).  Outcomes are built
-from plain data (trace recorders, repr strings, bug records, a local
-metrics registry) so the parent can merge them deterministically in
-key order.
+a shared-memory view (``export_for_workers``) and the checkpoints
+travelling per batch (``batch_payload``).  Outcomes are built from
+plain data (bug records, counts, repr strings, a local metrics
+registry) so the parent can merge them deterministically in key order.
 
 The task bodies import :mod:`repro.core.frontend` lazily: the frontend
 itself imports this package, and the cycle resolves only at call time.
@@ -69,13 +69,13 @@ def _is_harness_fault(exc):
 
 
 class PostPhaseContext:
-    """Read-only inputs of the post-failure execution phase."""
+    """Read-only inputs of the post-failure phase."""
 
     __slots__ = ("config", "workload", "store", "uses_roi",
-                 "resilience")
+                 "resilience", "checkpoints", "audit", "read_keys")
 
-    def __init__(self, config, workload, store, uses_roi,
-                 resilience=None):
+    def __init__(self, config, workload, store, uses_roi, resilience,
+                 checkpoints, audit, read_keys):
         self.config = config
         self.workload = workload
         #: The pre-failure run's ``SnapshotStore``; workers materialize
@@ -85,22 +85,47 @@ class PostPhaseContext:
         #: The phase's ``ResilienceContext`` (chaos, deadlines, attempt
         #: counts), or None when every resilience knob is off.
         self.resilience = resilience
+        #: fid -> ShadowPM checkpoint captured at that FAILURE_POINT
+        #: marker during the single pre-failure replay.
+        self.checkpoints = checkpoints
+        #: Record each task's shadow transitions into a task-local
+        #: audit log shipped back in the outcome.
+        self.audit = audit
+        #: Task keys whose outcome must carry the run's LOAD ranges:
+        #: dedup representatives whose class has another live member.
+        self.read_keys = read_keys
 
     def export_for_workers(self, plane):
         """The warm-pool shipping form: the snapshot store swapped for
-        a shared-memory view (workers attach zero-copy).  A store
-        without delta support ships as-is through the pickle."""
+        a shared-memory view (workers attach zero-copy) and the
+        checkpoints stripped — they travel per batch.  A store without
+        delta support ships as-is through the pickle."""
         store = self.store
         if hasattr(store, "deltas"):
             store = plane.publish(store)
         return PostPhaseContext(
             self.config, self.workload, store, self.uses_roi,
-            self.resilience,
+            self.resilience, {}, self.audit, self.read_keys,
         )
+
+    def batch_payload(self, keys):
+        """The shadow checkpoints one batch's keys run against."""
+        return {
+            fid: self.checkpoints[fid]
+            for fid in sorted({key[0] for key in keys})
+        }
+
+    def install_payload(self, payload):
+        self.checkpoints.update(payload)
+
+    def clear_payload(self):
+        """Drop per-batch state so a long-lived worker's memory stays
+        bounded by one batch, not the whole run."""
+        self.checkpoints.clear()
 
 
 class PostTaskOutcome:
-    """One post-failure execution's result, in picklable form.
+    """One post-failure run's result, in picklable form.
 
     The crash (if any) travels as ``repr(exc)`` — exception instances
     do not pickle reliably and the report only needs the message; the
@@ -111,32 +136,54 @@ class PostTaskOutcome:
     profile into the run's; ``seconds`` is that root's duration.
     """
 
-    __slots__ = ("fid", "variant", "recorder", "crash_repr", "seconds",
-                 "spans")
+    __slots__ = ("fid", "variant", "bugs", "benign_races", "events",
+                 "has_roi", "crash_repr", "seconds", "spans", "metrics",
+                 "audit", "reads")
 
-    def __init__(self, fid, variant, recorder, crash_repr, seconds,
-                 spans=()):
+    def __init__(self, fid, variant, bugs, benign_races, events,
+                 has_roi, crash_repr, seconds, spans, metrics, audit,
+                 reads):
         self.fid = fid
         self.variant = variant
-        self.recorder = recorder
+        #: The run's findings, in the order its reads found them.
+        self.bugs = bugs
+        self.benign_races = benign_races
+        #: Operations the recovery issued, and whether it opened a
+        #: region of interest.
+        self.events = events
+        self.has_roi = has_roi
         self.crash_repr = crash_repr
         self.seconds = seconds
         self.spans = list(spans)
+        #: Task-local ``MetricsRegistry``; the parent merges it so the
+        #: run's counters are identical to the serial schedule's.
+        self.metrics = metrics
+        #: The run's ``AuditRecord`` list under audit (spliced into the
+        #: run's log at its marker by the coordinator), else None.
+        self.audit = audit
+        #: Sorted LOAD ranges, for keys in ``read_keys``; else None.
+        self.reads = reads
 
 
 def run_post_task(ctx, key):
-    """Run one post-failure execution on a materialized crash image.
+    """Run one post-failure execution on a materialized crash image,
+    checking each of its operations against a fork of the failure
+    point's shadow checkpoint as it executes.
 
     ``key`` is ``(fid, variant, survivor_mask)``; a None mask means the
     base run on the configured crash-image mode.
     """
     from repro.core.frontend import ExecutionContext
     from repro.core.interface import DetectionComplete, XFInterface
+    from repro.core.replay import TraceReplayer
+    from repro.core.report import DetectionReport
+    from repro.obs.audit import AuditLog
+    from repro.obs.metrics import MetricsRegistry
     from repro.obs.spans import SpanRecorder
     from repro.pm.image import CrashImageMode
     from repro.pm.memory import PersistentMemory
     from repro.pm.pool import PMPool
-    from repro.trace.recorder import TraceRecorder
+    from repro.trace.recorder import NullRecorder
 
     fid, variant, mask = key
     config = ctx.config
@@ -152,11 +199,18 @@ def run_post_task(ctx, key):
     root_attrs = {"fid": fid}
     if variant is not None:
         root_attrs["variant"] = variant
+    audit = AuditLog() if ctx.audit else None
+    metrics = MetricsRegistry()
     try:
         with spans.span("post_run", **root_attrs) as root:
-            recorder = TraceRecorder("post")
+            # The trace is counted, not kept: every operation is
+            # checked as it executes.  Call sites are walked only for
+            # reported reads — except under audit, whose records carry
+            # every transition's ip.
+            recorder = NullRecorder("post")
             memory = PersistentMemory(
-                recorder, config.capture_ips, platform=config.platform
+                recorder, config.capture_ips and audit is not None,
+                platform=config.platform,
             )
             memory.deadline = deadline
             # Replay-prefix memo (on with dedup): reuse this worker's
@@ -198,6 +252,21 @@ def run_post_task(ctx, key):
                             PMPool(image.pool_name, image.size,
                                    image.base, data=data)
                         )
+            shadow = ctx.checkpoints[fid].fork_for_replay(
+                metrics.counter("shadow_transitions_total")
+            )
+            if audit is not None:
+                shadow.audit = audit.scoped(
+                    stage="post", failure_point=fid
+                )
+            shell = DetectionReport()
+            replayer = TraceReplayer(
+                shadow, config, "post", shell, failure_point=fid,
+                has_roi=None, metrics=metrics,
+                lazy_ips=config.capture_ips and audit is None,
+                collect_reads=key in ctx.read_keys,
+            )
+            memory.add_observer(replayer)
             memory.roi_active = not ctx.uses_roi
             context = ExecutionContext(
                 memory=memory,
@@ -229,146 +298,14 @@ def run_post_task(ctx, key):
                             phase="post_exec",
                         ) from exc
                     crash_repr = repr(exc)  # recovery crashed: a finding
+            replayer.finish()
+        reads = replayer.read_ranges
         return PostTaskOutcome(
-            fid, variant, recorder, crash_repr, root.duration,
-            spans=spans.roots,
-        )
-    finally:
-        if watchdog is not None:
-            watchdog.cancel()
-
-
-# ----------------------------------------------------------------------
-# Post-failure replay phase
-# ----------------------------------------------------------------------
-
-
-class ReplayPhaseContext:
-    """Read-only inputs of the checkpointed post-replay phase."""
-
-    __slots__ = ("config", "checkpoints", "runs", "resilience", "audit")
-
-    def __init__(self, config, checkpoints, runs, resilience=None,
-                 audit=False):
-        self.config = config
-        #: fid -> ShadowPM checkpoint captured at that FAILURE_POINT
-        #: marker during the single pre-failure replay.
-        self.checkpoints = checkpoints
-        #: (fid, variant, index) -> (post-trace events, has_roi flag).
-        #: ``index`` is the task's position in the canonical run order,
-        #: so keys stay unique even for hand-built duplicate runs.
-        self.runs = runs
-        #: The phase's ``ResilienceContext``, or None when every
-        #: resilience knob is off.
-        self.resilience = resilience
-        #: Record each replay's shadow transitions into a task-local
-        #: audit log shipped back in the outcome.
-        self.audit = audit
-
-    def export_for_workers(self, plane):
-        """The warm-pool shipping form: checkpoints and run traces are
-        stripped here and travel per batch (:meth:`batch_payload`) —
-        the checkpoint cache holds a rebuild closure and a lock, which
-        must stay parent-side."""
-        return ReplayPhaseContext(
-            self.config, {}, {}, self.resilience, self.audit
-        )
-
-    def batch_payload(self, keys):
-        """The per-batch slice of this phase's inputs: the shadow
-        checkpoints and recorded post-traces the batch's keys need.
-        Indexing the checkpoint cache here (in the parent) triggers any
-        on-demand rebuild before pickling."""
-        fids = sorted({key[0] for key in keys})
-        return (
-            {fid: self.checkpoints[fid] for fid in fids},
-            {key: self.runs[key] for key in keys},
-        )
-
-    def install_payload(self, payload):
-        checkpoints, runs = payload
-        self.checkpoints.update(checkpoints)
-        self.runs.update(runs)
-
-    def clear_payload(self):
-        """Drop per-batch state so a long-lived worker's memory stays
-        bounded by one batch, not the whole run."""
-        self.checkpoints.clear()
-        self.runs.clear()
-
-
-class ReplayTaskOutcome:
-    """One post-failure replay's findings, in picklable form."""
-
-    __slots__ = ("fid", "variant", "bugs", "benign_races", "metrics",
-                 "seconds", "spans", "audit")
-
-    def __init__(self, fid, variant, bugs, benign_races, metrics,
-                 seconds, spans=(), audit=None):
-        self.fid = fid
-        self.variant = variant
-        self.bugs = bugs
-        self.benign_races = benign_races
-        #: Task-local ``MetricsRegistry``; the parent merges it so the
-        #: run's counters are identical to the serial schedule's.
-        self.metrics = metrics
-        self.seconds = seconds
-        #: The task's own span tree (a ``post_replay`` root), grafted
-        #: into the run profile by the coordinator.
-        self.spans = list(spans)
-        #: The replay's ``AuditRecord`` list under audit (spliced into
-        #: the run's log at its marker by the coordinator), else None.
-        self.audit = audit
-
-
-def run_replay_task(ctx, key):
-    """Replay one post-failure trace against a forked shadow checkpoint."""
-    from repro.core.replay import TraceReplayer
-    from repro.core.report import DetectionReport
-    from repro.obs.audit import AuditLog
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.spans import SpanRecorder
-
-    fid, variant, _index = key
-    resilience = ctx.resilience
-    deadline = watchdog = None
-    if resilience is not None:
-        deadline, watchdog = resilience.guard_task(key)
-    program, has_roi = ctx.runs[key]
-    spans = SpanRecorder()
-    root_attrs = {"fid": fid}
-    if variant is not None:
-        root_attrs["variant"] = variant
-    audit = AuditLog() if ctx.audit else None
-    try:
-        metrics = MetricsRegistry()
-        with spans.span("post_replay", **root_attrs) as root:
-            with spans.span("fork_checkpoint"):
-                fork = ctx.checkpoints[fid].fork_for_replay(
-                    metrics.counter("shadow_transitions_total")
-                )
-            if audit is not None:
-                fork.audit = audit.scoped(
-                    stage="post", failure_point=fid
-                )
-            metrics.inc(
-                "replays_roi_scoped" if has_roi
-                else "replays_whole_trace"
-            )
-            shell = DetectionReport()
-            replayer = TraceReplayer(
-                fork, ctx.config, "post", shell,
-                failure_point=fid, has_roi=has_roi, metrics=metrics,
-            )
-            with spans.span("replay_events"):
-                # ``ctx.runs`` ships compiled replay programs (see
-                # ``repro.core.replay.lower_trace``), lowered once by
-                # the coordinator and reused across retries and forks.
-                replayer.run_program(program, deadline)
-        return ReplayTaskOutcome(
-            fid, variant, shell.bugs, shell.stats.benign_races, metrics,
-            root.duration, spans=spans.roots,
+            fid, variant, shell.bugs, shell.stats.benign_races,
+            len(recorder), recorder.has_roi, crash_repr, root.duration,
+            spans=spans.roots, metrics=metrics,
             audit=audit.records if audit is not None else None,
+            reads=tuple(sorted(reads)) if reads is not None else None,
         )
     finally:
         if watchdog is not None:

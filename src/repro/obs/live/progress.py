@@ -23,7 +23,7 @@ _PHASE_LABELS = {
     "setup": "setup",
     "pre_failure": "pre-failure",
     "post_exec": "post-failure",
-    "backend": "backend replay",
+    "backend": "backend",
 }
 
 _BAR_WIDTH = 18

@@ -3,8 +3,8 @@
 A :class:`Span` measures one region of the pipeline; nesting follows
 the dynamic call structure (``with spans.span("backend"): ...``).  The
 resulting tree is the run's wall-clock profile: frontend setup, the
-pre-failure stage, one ``post_run`` per failure point, the backend, and
-one ``post_replay`` per analyzed failure point.
+pre-failure stage, the pre-failure replay, one ``post_run`` per
+failure point (its recovery checked as it runs), and the backend.
 
 Spans are deliberately always-on: a handful per failure point, each
 costing two ``perf_counter()`` calls — the replacement for the

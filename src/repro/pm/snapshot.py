@@ -213,25 +213,6 @@ class SnapshotStore:
         self._fingerprint_capture(deltas)
         return fid
 
-    def capture_full(self, images):
-        """Record already-captured full ``PMImage``s as-is (saves
-        nothing): a store built from hand-made images, without a
-        ``PersistentMemory`` run."""
-        self._check_mutable()
-        deltas = []
-        for image in images:
-            self._known_pools.add(image.pool_name)
-            deltas.append(PoolDelta(
-                image.pool_name, image.base, image.size, full=image,
-                volatile_lines=image.volatile_lines,
-            ))
-            self.recorded_bytes += 2 * image.size
-            self.full_equivalent_bytes += 2 * image.size
-        fid = len(self._snapshots)
-        self._snapshots.append(deltas)
-        self._fingerprint_capture(deltas)
-        return fid
-
     def _fingerprint_capture(self, deltas):
         """Fold the just-captured deltas into the per-pool fingerprints
         and record the new failure point's fingerprint tuple."""

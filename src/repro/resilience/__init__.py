@@ -31,7 +31,6 @@ from repro.resilience.deadline import (
 )
 from repro.resilience.incidents import Incident, IncidentKind, IncidentLog
 from repro.resilience.journal import (
-    JournaledTrace,
     RunJournal,
     deserialize_bug,
     read_journal_records,
@@ -56,7 +55,6 @@ __all__ = [
     "Incident",
     "IncidentKind",
     "IncidentLog",
-    "JournaledTrace",
     "RunJournal",
     "read_journal_records",
     "run_checksum",

@@ -4,11 +4,10 @@ An :class:`Incident` records one absorbed fault with its failure-point
 provenance — what kind of fault, during which phase, how many attempts
 were made, and whether the failure point was ultimately *quarantined*
 (its outcome lost) or healed by a retry.  The :class:`IncidentLog`
-collects them across the frontend's post-failure phase and the
-backend's replay phase; the detector attaches the log's contents to
-the report, whose ``degraded`` flag is true exactly when at least one
-incident was quarantined — partial results are never silently
-presented as complete.
+collects them across the post-failure phase; the detector attaches
+the log's contents to the report, whose ``degraded`` flag is true
+exactly when at least one incident was quarantined — partial results
+are never silently presented as complete.
 """
 
 from __future__ import annotations
@@ -44,8 +43,7 @@ class Incident:
     """One absorbed harness fault, with provenance."""
 
     kind: IncidentKind
-    #: Pipeline phase the fault occurred in: "post_exec" or
-    #: "post_replay".
+    #: Pipeline phase the fault occurred in ("post_exec").
     phase: str
     failure_point: int | None
     variant: int | None

@@ -1,14 +1,15 @@
 """Resumable run journal: NDJSON checkpointing of completed outcomes.
 
 A detection run with ``--journal PATH`` appends one record per
-*completed* failure-point outcome — the replayed bugs, the benign-race
-count, the post-trace size, and the recovery crash (if any) — under a
-header carrying a **config+trace checksum**.  ``run --resume PATH``
-re-runs the cheap deterministic pre-failure stage, recomputes the
-checksum, refuses a journal recorded for a different workload, sizing,
-configuration, or code revision, and then skips both the post-failure
-execution *and* the backend replay of every journaled point, splicing
-the stored bugs back into the report byte-identically.  A killed
+*completed* failure-point outcome — the bugs its checked recovery
+found, the benign-race count, the number of operations it issued, and
+the recovery crash (if any) — under a header carrying a
+**config+trace checksum**.  ``run --resume PATH`` re-runs the cheap
+deterministic pre-failure stage, recomputes the checksum, refuses a
+journal recorded for a different workload, sizing, configuration, or
+code revision, and then skips the post-failure run of every journaled
+point, splicing the stored bugs back into the report
+byte-identically.  A killed
 30-minute run resumes as an incremental one.
 
 Quarantined points are deliberately never journaled: a resume retries
@@ -161,24 +162,6 @@ def read_journal_records(path):
             continue
         posts[(record["fid"], record["variant"])] = record
     return header, posts
-
-
-class JournaledTrace:
-    """Stand-in for a :class:`TraceRecorder` whose events were not
-    kept: a resumed point only needs the trace's length (for stats)
-    and its RoI flag."""
-
-    __slots__ = ("_length", "has_roi")
-
-    def __init__(self, length, has_roi):
-        self._length = length
-        self.has_roi = has_roi
-
-    def __len__(self):
-        return self._length
-
-    def __iter__(self):
-        return iter(())
 
 
 def _location_to_list(location):

@@ -198,9 +198,7 @@ def run_shard(spec, lo, hi, journal_path, *, run_id, events_path=None,
             result = Frontend(
                 config, telemetry=telemetry, executor=executor
             ).run(spec.build_workload())
-            report = XFDetector(config).analyze(
-                result, executor=executor
-            )
+            report = XFDetector(config).analyze(result)
             telemetry.emit(
                 "run_finished", workload=spec.workload,
                 findings=len(report.bugs),
@@ -323,7 +321,7 @@ def run_merge(spec, shard_journals, merged_path, report_text_path,
         result = Frontend(
             config, telemetry=telemetry, executor=executor
         ).run(spec.build_workload())
-        report = XFDetector(config).analyze(result, executor=executor)
+        report = XFDetector(config).analyze(result)
         telemetry.emit(
             "run_finished", workload=spec.workload,
             findings=len(report.bugs),

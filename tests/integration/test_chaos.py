@@ -257,7 +257,7 @@ class TestCombinedAcceptance:
         broken_fid = 2
         _break_image_access(monkeypatch, broken_fid)
         report = _run(
-            chaos="crash:0.1,hang:0.04",
+            chaos="crash:0.1,hang:0.1",
             exec_deadline=0.1,
             max_retries=0,
         )

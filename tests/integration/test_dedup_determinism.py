@@ -92,8 +92,14 @@ class TestDedupFires:
         metrics = on.telemetry.metrics
         assert metrics.value("post_runs_deduped") == \
             on.stats.post_runs_deduped
+        assert on.stats.replays_deduped == on.stats.post_runs_deduped
         assert metrics.value("replay_events_skipped") > 0
-        assert metrics.value("replay_checkpoints_skipped") > 0
+        # Every member that cloned skipped its run and its checks:
+        # the run-level counters still equal a dedup-off run's.
+        off_metrics = off.telemetry.metrics
+        for name in ("post_runs", "shadow_transitions_total",
+                     "post_reads_checked", "bugs_reported_total"):
+            assert metrics.value(name) == off_metrics.value(name)
         assert metrics.value("dedup_bytes_hashed") > 0
         assert _content(on) == _content(off)
 

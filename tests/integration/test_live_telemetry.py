@@ -141,14 +141,13 @@ class TestSerialSpans:
         detector = XFDetector(DetectorConfig(jobs=1))
         report = detector.run(_workload())
         detector.telemetry.close()
-        for name in ("post_run", "post_replay"):
-            roots = report.telemetry.spans.find(name)
-            assert roots, f"no {name} spans"
-            assert all("worker" not in span.attrs for span in roots)
-            fids = [span.attrs["fid"] for span in roots]
-            assert fids == sorted(fids)
-            for before, after in zip(roots, roots[1:]):
-                assert before.ended <= after.started
+        roots = report.telemetry.spans.find("post_run")
+        assert roots, "no post_run spans"
+        assert all("worker" not in span.attrs for span in roots)
+        fids = [span.attrs["fid"] for span in roots]
+        assert fids == sorted(fids)
+        for before, after in zip(roots, roots[1:]):
+            assert before.ended <= after.started
         metrics = report.telemetry.metrics
         assert not [
             name for name in metrics.names() if name.startswith("exec.")

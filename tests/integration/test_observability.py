@@ -49,9 +49,17 @@ class TestSpanProfile:
         assert children[0] == "setup"
         assert children[1] == "pre_failure"
         assert children[-1] == "backend"
+        assert children.index("pre_replay") < children.index("post_run")
         failure_points = audited_report.stats.failure_points
-        assert len(spans.find("post_run")) == failure_points
-        assert len(spans.find("post_replay")) == failure_points
+        # One post_run per failure point, its recovery checked as it
+        # runs: no separate replay span.
+        post_runs = spans.find("post_run")
+        assert len(post_runs) == failure_points
+        for span in post_runs:
+            assert [child.name for child in span.children] == [
+                "materialize_image", "recovery",
+            ]
+        assert spans.find("post_replay") == []
 
     def test_stats_derive_from_spans(self, audited_report):
         telemetry = audited_report.telemetry
@@ -69,7 +77,8 @@ class TestSpanProfile:
         assert stats.pre_failure_seconds == pytest.approx(pre)
         assert stats.post_failure_seconds == pytest.approx(post)
         assert stats.backend_seconds == pytest.approx(
-            spans.first("backend").duration
+            spans.first("pre_replay").duration
+            + spans.first("backend").duration
         )
 
 

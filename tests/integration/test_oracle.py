@@ -22,18 +22,25 @@ from hypothesis import strategies as st
 from repro.core import DetectorConfig, XFDetector
 from repro.pm.cacheline import PlatformMode
 from repro.pm.image import CrashImageMode
+from repro.pmdk import ObjectPool
 from repro.workloads import ALL_WORKLOADS
+from tests.integration.test_roi import RoIRoot, RoIWorkload
 from tests.oracle import oracle_bugs
 
 TEST_SIZE = 3
 
 
 def assert_matches_oracle(name, fault, config, **sizes):
-    def make():
-        return ALL_WORKLOADS[name](
+    return assert_workload_matches_oracle(
+        lambda: ALL_WORKLOADS[name](
             faults={fault} if fault else (), **sizes
-        )
+        ),
+        config,
+    )
 
+
+def assert_workload_matches_oracle(make, config):
+    """``make`` builds a fresh workload instance per run."""
     production = XFDetector(config).run(make()).bugs
     assert production == oracle_bugs(make(), config)
     return production
@@ -93,6 +100,55 @@ def test_cyclic_crash_state_matches_oracle():
         DetectorConfig(crash_state_variants=2), test_size=TEST_SIZE,
     )
     assert any("TraversalLimitError" in bug.detail for bug in bugs)
+
+
+class ReadsBeforeRoI(RoIWorkload):
+    """Recovery reads both fields before it opens its region."""
+
+    name = "roi-reads-first"
+
+    def post_failure(self, ctx):
+        root = ObjectPool.open(ctx.memory, "roi", "roi", RoIRoot).root
+        _ = (root.inside, root.outside)
+        super().post_failure(ctx)
+
+
+class NoPostRoI(RoIWorkload):
+    """An RoI workload whose recovery never opens a region."""
+
+    name = "roi-no-post-region"
+
+    def post_failure(self, ctx):
+        root = ObjectPool.open(ctx.memory, "roi", "roi", RoIRoot).root
+        _ = (root.inside, root.outside)
+
+
+class CrashBeforeRoI(RoIWorkload):
+    """Recovery reads, then crashes before it reaches its region."""
+
+    name = "roi-crash-first"
+
+    def post_failure(self, ctx):
+        root = ObjectPool.open(ctx.memory, "roi", "roi", RoIRoot).root
+        _ = (root.inside, root.outside)
+        raise ValueError("recovery crashed before its region")
+
+
+@pytest.mark.parametrize("variants", [0, 2])
+@pytest.mark.parametrize(
+    "workload_cls",
+    [RoIWorkload, ReadsBeforeRoI, NoPostRoI, CrashBeforeRoI],
+    ids=lambda cls: cls.name,
+)
+def test_roi_workloads_match_oracle(workload_cls, variants):
+    """No workload in ``ALL_WORKLOADS`` sets ``uses_roi``.  A recorded
+    post-failure trace knows up front whether it opens a region; the
+    production engine checks reads as recovery runs and learns it at
+    the first ``ROI_BEGIN``."""
+    bugs = assert_workload_matches_oracle(
+        workload_cls, DetectorConfig(crash_state_variants=variants)
+    )
+    assert bugs
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)

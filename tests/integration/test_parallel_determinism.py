@@ -12,9 +12,9 @@ import pytest
 from repro.core import DetectorConfig, XFDetector
 from repro.core.frontend import Frontend, FrontendResult, PostRun
 from repro.core.injector import FailurePoint
+from repro.core.report import Bug, BugKind
 from repro.exec import WarmProcessExecutor
 from repro.obs import run_records
-from repro.trace.recorder import TraceRecorder
 from repro.workloads import HashmapAtomicWorkload, HashmapTxWorkload
 
 #: Pool widths compared: serial, plus the warm pool where fork exists.
@@ -134,8 +134,7 @@ class TestVariantPlanDeterminism:
                 )
             )
             return [
-                (run.failure_point.fid, run.variant,
-                 len(run.recorder))
+                (run.failure_point.fid, run.variant, run.events)
                 for run in result.post_runs
             ]
 
@@ -172,8 +171,9 @@ class TestVariantExhaustion:
 class TestOrphanAccounting:
     def test_orphaned_runs_are_counted(self):
         """A post run whose failure point has no marker in the
-        pre-failure trace is never replayed; the ``orphaned_post_runs``
-        gauge counts it and ``post_runs_analyzed`` leaves it out."""
+        pre-failure trace has nowhere to splice; the
+        ``orphaned_post_runs`` gauge counts it, its bugs stay out of
+        the report, and ``post_runs_analyzed`` leaves it out."""
         config = DetectorConfig()
         result = Frontend(config).run(
             HashmapAtomicWorkload(
@@ -184,18 +184,24 @@ class TestOrphanAccounting:
             fid=len(result.failure_points), reason="hand-built",
             trace_index=len(result.pre_recorder), store=None,
         )
+        stray = Bug(
+            kind=BugKind.CROSS_FAILURE_RACE, detail="orphan",
+            failure_point=unmarked.fid,
+        )
         hand_built = FrontendResult(
             workload_name=result.workload_name,
             pre_recorder=result.pre_recorder,
             failure_points=result.failure_points,
             post_runs=result.post_runs + [
-                PostRun(unmarked, TraceRecorder("post"))
+                PostRun(unmarked, events=1, bugs=[stray])
             ],
+            pre_replay=result.pre_replay,
         )
         report = XFDetector(config).analyze(hand_built)
         stats = report.stats
         orphaned = report.telemetry.metrics.value("orphaned_post_runs")
         assert report.has_cross_failure_bugs
+        assert stray not in report.bugs
         assert orphaned == 1
         assert stats.post_runs_analyzed == len(result.post_runs)
         assert (

@@ -96,6 +96,17 @@ def _submit(scheduler, spec_dict):
     return command.result
 
 
+def _run_until_shard_runs(scheduler, store, job_id):
+    """Step until some shard of the job is running.  A short poll: a
+    step that dispatches a shard must return before the shard can
+    finish, or the running state is never observed."""
+    return _run_until(
+        scheduler, store, job_id,
+        lambda r: any(s.status == "running" for s in r.shards),
+        poll=0.01,
+    )
+
+
 def _run_until(scheduler, store, job_id, condition, max_seconds=180,
                poll=0.1):
     deadline = time.monotonic() + max_seconds
@@ -198,12 +209,7 @@ class TestShardedJobs:
         store, scheduler = _scheduler(tmp_path)
         try:
             job_id = _submit(scheduler, HASHMAP)
-            _run_until(
-                scheduler, store, job_id,
-                lambda r: any(
-                    s.status == "running" for s in r.shards
-                ),
-            )
+            _run_until_shard_runs(scheduler, store, job_id)
             victim = _shard_victim(scheduler)
             shard_id = victim.task["shard_id"]
             os.kill(victim.process.pid, signal.SIGKILL)
@@ -234,12 +240,7 @@ class TestShardedJobs:
         spec = dict(HASHMAP, shards=1)
         try:
             job_id = _submit(scheduler, spec)
-            _run_until(
-                scheduler, store, job_id,
-                lambda r: any(
-                    s.status == "running" for s in r.shards
-                ),
-            )
+            _run_until_shard_runs(scheduler, store, job_id)
             victim = _shard_victim(scheduler)
             os.kill(victim.process.pid, signal.SIGSTOP)
             record = _run_until(
@@ -265,12 +266,7 @@ class TestShardedJobs:
         )
         try:
             job_id = _submit(scheduler, HASHMAP)
-            _run_until(
-                scheduler, store, job_id,
-                lambda r: any(
-                    s.status == "running" for s in r.shards
-                ),
-            )
+            _run_until_shard_runs(scheduler, store, job_id)
             victim = _shard_victim(scheduler)
             shard_id = victim.task["shard_id"]
             os.kill(victim.process.pid, signal.SIGSTOP)
@@ -323,12 +319,7 @@ class TestDrain:
         store, scheduler = _scheduler(tmp_path)
         try:
             job_id = _submit(scheduler, HASHMAP)
-            _run_until(
-                scheduler, store, job_id,
-                lambda r: any(
-                    s.status == "running" for s in r.shards
-                ),
-            )
+            _run_until_shard_runs(scheduler, store, job_id)
             scheduler._commands.put(_Command("drain", None))
             deadline = time.monotonic() + 90
             while not scheduler.drained and \

@@ -244,22 +244,6 @@ class TestShadowCheckpointCache:
         with pytest.raises(KeyError):
             cache[7]
 
-    def test_skipped_checkpoint_rebuilds_once(self):
-        built = []
-
-        def rebuild(fid):
-            built.append(fid)
-            return ShadowPM()
-
-        cache = ShadowCheckpointCache(rebuild)
-        cache.note_skipped(3)
-        assert cache.skipped == 1
-        first = cache[3]
-        second = cache[3]
-        assert built == [3]
-        assert cache.rebuilt == 1
-        assert first is second
-
 
 class TestRegionDigest:
     def _shadow_with_store(self, persisted):

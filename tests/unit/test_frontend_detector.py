@@ -76,8 +76,15 @@ class TestFrontend:
         assert result.pre_seconds > 0
         assert len(result.pre_recorder) > 0
         for run in result.post_runs:
-            assert run.recorder.stage == "post"
+            assert run.events > 0
+            assert not run.has_roi
             assert run.crash is None
+        # The pre-failure replay ran once, before the post runs, and
+        # checkpointed every marker they fork.
+        assert set(result.pre_replay.bug_offsets) == {
+            fp.fid for fp in result.failure_points
+        }
+        assert len(result.pre_replay.checkpoints) == 3
 
     def test_no_injection_during_setup(self):
         result = Frontend(DetectorConfig()).run(MiniWorkload())

@@ -6,8 +6,11 @@ from repro.core.config import DetectorConfig
 from repro.core.replay import TraceReplayer
 from repro.core.report import BugKind, DetectionReport
 from repro.core.shadow import ShadowPM
+from repro.obs.metrics import MetricsRegistry
+from repro.pm.memory import PersistentMemory
+from repro.pm.pool import PMPool
 from repro.trace.events import KIND_CODE, EventKind
-from repro.trace.recorder import TraceRecorder
+from repro.trace.recorder import NullRecorder, TraceRecorder
 
 W = SourceLocation("writer.py", 1, "w")
 R = SourceLocation("reader.py", 2, "r")
@@ -132,6 +135,23 @@ class TestReadClassification:
         feed(post, ev(rec, EventKind.LOAD, 0x10, 8, ip=R))
         assert report.bugs == []
         assert report.stats.benign_races == 1
+
+    def test_read_spanning_two_commit_vars_is_benign(self):
+        """A read across two adjacent commit variables is two benign
+        races, exactly like reading each variable on its own."""
+        def run(loads):
+            shadow, report, pre, config = make_replayers()
+            rec = TraceRecorder()
+            for name, addr in (("head", 0x10), ("tail", 0x18)):
+                feed(pre, ev(rec, EventKind.COMMIT_VAR, addr, 8, name))
+                feed(pre, ev(rec, EventKind.STORE, addr, 8, ip=W))
+            post = post_replayer(shadow, report, config)
+            for addr, size in loads:
+                feed(post, ev(rec, EventKind.LOAD, addr, size, ip=R))
+            return report.bugs, report.stats.benign_races
+
+        assert run([(0x10, 16)]) == run([(0x10, 8), (0x18, 8)])
+        assert run([(0x10, 16)]) == ([], 2)
 
     def test_uninitialized_read_is_race(self):
         shadow, report, pre, config = make_replayers()
@@ -276,3 +296,87 @@ class TestTxReplaySemantics:
         feed(post, ev(rec, EventKind.LOAD, 0x1000, 8, ip=R))
         assert len(report.races) == 1
         assert report.semantic_bugs == []
+
+
+class TestLiveStream:
+    """A post-failure replayer fed by the runtime as recovery runs
+    (``has_roi=None``): it cannot know up front whether the stream
+    opens a region of interest, and its operations carry no call
+    site."""
+
+    def _modified(self, addr):
+        shadow, _report, pre, config = make_replayers()
+        feed(pre, ev(TraceRecorder(), EventKind.STORE, addr, 8, ip=W))
+        return shadow, config
+
+    def _live(self, shadow, config, report, **kwargs):
+        return TraceReplayer(
+            shadow.copy(), config, "post", report, failure_point=0,
+            has_roi=None, **kwargs
+        )
+
+    def test_first_roi_begin_discards_earlier_checks(self):
+        shadow, config = self._modified(0x1000)
+        report = DetectionReport("t")
+        metrics = MetricsRegistry()
+        post = self._live(shadow, config, report, metrics=metrics)
+        rec = TraceRecorder()
+        feed(post, ev(rec, EventKind.LOAD, 0x1000, 8, ip=R))
+        assert len(report.races) == 1  # checked before the region...
+        feed(post, ev(rec, EventKind.ROI_BEGIN))
+        assert report.bugs == []  # ...and discarded at its start
+        assert post.reads_checked == 0
+        # The first-read mark went too: the same bytes count again.
+        feed(post, ev(rec, EventKind.LOAD, 0x1000, 8, ip=R))
+        feed(post, ev(rec, EventKind.ROI_END))
+        feed(post, ev(rec, EventKind.ROI_BEGIN))
+        post.finish()
+        assert len(report.races) == 1
+        assert metrics.value("replays_roi_scoped") == 1
+        assert metrics.value("post_reads_checked") == 1
+        assert metrics.value("bugs_reported_total") == 1
+
+    def test_stream_without_region_checks_every_read(self):
+        shadow, config = self._modified(0x1000)
+        report = DetectionReport("t")
+        metrics = MetricsRegistry()
+        post = self._live(shadow, config, report, metrics=metrics)
+        feed(post, ev(TraceRecorder(), EventKind.LOAD, 0x1000, 8, ip=R))
+        post.finish()
+        assert len(report.races) == 1
+        assert metrics.value("replays_whole_trace") == 1
+
+    def test_lazy_reader_is_the_call_site_a_load_records(self):
+        """A reported read resolves its reader from the live stack: the
+        frame ``PersistentMemory.load`` records when it captures."""
+        pool = PMPool("p", 4096)
+        shadow, config = self._modified(pool.base)
+
+        def read(memory):
+            return memory.load(pool.base, 8)
+
+        recorded = TraceRecorder("post")
+        eager = PersistentMemory(recorded, capture_ips=True)
+        eager.map_pool(PMPool("p", 4096))
+        read(eager)
+        report = DetectionReport("t")
+        live = PersistentMemory(NullRecorder("post"), capture_ips=False)
+        live.map_pool(PMPool("p", 4096))
+        live.add_observer(self._live(shadow, config, report, lazy_ips=True))
+        read(live)
+        (bug,) = report.races
+        assert bug.reader_ip is recorded.events[0].ip
+        assert bug.reader_ip.function == "read"
+        assert bug.writer_ip is W
+
+    def test_collects_load_ranges_on_request(self):
+        shadow, config = self._modified(0x1000)
+        post = self._live(
+            shadow, config, DetectionReport("t"), collect_reads=True
+        )
+        rec = TraceRecorder()
+        feed(post, ev(rec, EventKind.LIB_BEGIN, info="lib"))
+        feed(post, ev(rec, EventKind.LOAD, 0x2000, 4))
+        feed(post, ev(rec, EventKind.LIB_END, info="lib"))
+        feed(post, ev(rec, EventKind.LOAD, 0x1000, 8, ip=R))
+        assert post.read_ranges == {(0x2000, 0x2004), (0x1000, 0x1008)}

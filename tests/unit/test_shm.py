@@ -16,6 +16,7 @@ from repro.dedup.memo import ImageMemo
 from repro.errors import DetectorError
 from repro.exec.shm import ShmSnapshotPlane, ShmStoreView, live_segments
 from repro.pm.image import PMImage
+from repro.pm.memory import PersistentMemory
 from repro.pm.snapshot import PoolDelta, SnapshotStore
 
 
@@ -23,11 +24,16 @@ def _make_store():
     """A two-pool store with a full-image snapshot followed by two
     line-delta snapshots — the shapes the pre-failure stage records."""
     store = SnapshotStore()
-    store.capture_full([
-        PMImage("heap", 0x1000, b"A" * 256, b"a" * 256,
-                volatile_lines=(0, 64)),
-        PMImage("log", 0x4000, b"B" * 128, b"b" * 128),
+    store._snapshots.append([
+        PoolDelta("heap", 0x1000, 256,
+                  full=PMImage("heap", 0x1000, b"A" * 256, b"a" * 256,
+                               volatile_lines=(0, 64)),
+                  volatile_lines=(0, 64)),
+        PoolDelta("log", 0x4000, 128,
+                  full=PMImage("log", 0x4000, b"B" * 128, b"b" * 128)),
     ])
+    store._known_pools.update(("heap", "log"))
+    store._records.append(None)
     store._snapshots.append([
         PoolDelta("heap", 0x1000, 256,
                   lines=[(64, b"X" * 64, b"x" * 64)],
@@ -46,7 +52,7 @@ def _make_store():
     store._records.append(None)
     # The hand-appended deltas bypass capture(); keep the accounting
     # consistent so the attached mirror can reproduce it.
-    for deltas in store._snapshots[1:]:
+    for deltas in store._snapshots:
         for delta in deltas:
             store.recorded_bytes += delta.recorded_bytes
             store.full_equivalent_bytes += 2 * delta.size
@@ -165,9 +171,7 @@ class TestLifecycle:
         plane.publish(store)
         assert store.frozen
         with pytest.raises(DetectorError):
-            store.capture_full([
-                PMImage("late", 0x8000, b"C" * 64, b"c" * 64)
-            ])
+            store.capture(PersistentMemory())
 
 
 class TestFreeze:
@@ -175,9 +179,7 @@ class TestFreeze:
         store = _make_store()
         store.freeze()
         with pytest.raises(DetectorError):
-            store.capture_full([
-                PMImage("late", 0x8000, b"C" * 64, b"c" * 64)
-            ])
+            store.capture(PersistentMemory())
 
     def test_unpickled_store_is_frozen(self):
         store = _make_store()

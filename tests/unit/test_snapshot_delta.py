@@ -3,7 +3,6 @@
 import pickle
 
 from repro.pm.cacheline import FenceKind, FlushKind
-from repro.pm.image import PMImage
 from repro.pm.memory import PersistentMemory
 from repro.pm.pool import PMPool
 from repro.pm.snapshot import SnapshotStore
@@ -144,17 +143,6 @@ class TestSnapshotStore:
         assert clone.bytes_saved == store.bytes_saved
         for fid, reference in enumerate(references):
             _images_equal(clone.materialize(fid), reference)
-
-    def test_capture_full_fallback(self):
-        store = SnapshotStore()
-        image = PMImage("p", 0x1000, b"\x01" * 64, b"\x00" * 64, (0,))
-        fid = store.capture_full([image])
-        assert fid == 0
-        assert store.bytes_saved == 0
-        out = store.materialize(0)[0]
-        assert out.data == image.data
-        assert out.persisted_data == image.persisted_data
-        assert out.volatile_lines == (0,)
 
     def test_materialize_out_of_range(self):
         store = SnapshotStore()
