@@ -80,7 +80,7 @@ def _timed_run(config):
 
 def test_hotpath_speedup(benchmark):
     """Best-of-N serial detection vs the pre-change baseline."""
-    config = DetectorConfig(jobs=1, dedup=True)
+    config = DetectorConfig(jobs=1)
     best = best_cpu = None
     best_report = None
     for _ in range(ROUNDS):

@@ -16,11 +16,11 @@ from benchmarks._common import (
     table_records,
     write_result,
 )
-from repro.analysis import analyze_workload
 from repro.analysis.groundtruth import (
     CANONICAL_PARAMS,
     STATIC_EXPECTATIONS,
 )
+from repro.analysis.interp import analyze_workload
 from repro.workloads import ALL_WORKLOADS
 
 _rows = []

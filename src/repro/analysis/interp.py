@@ -2837,6 +2837,6 @@ def analyze_workload(workload, **budgets):
 
     Returns an :class:`~repro.analysis.findings.AnalysisReport` whose
     extra ``coverage`` / ``uncertified`` / ``unsafe_spans`` attributes
-    feed :func:`repro.analysis.certified_lines`.
+    feed :func:`repro.analysis.lint.certified_lines`.
     """
     return Interp(workload, **budgets).analyze()

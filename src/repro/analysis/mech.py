@@ -899,7 +899,6 @@ def analyze_mechanisms_workload(workload, config=None):
     if config is None:
         config = DetectorConfig(
             inject_failures=False,
-            dedup=False,
             progress=False,
         )
     result = Frontend(config).run(workload)

@@ -144,11 +144,6 @@ def _build_parser():
                      help="resume from a previous run's journal: "
                           "validate its config+trace checksum and "
                           "skip completed failure points")
-    run.add_argument("--no-dedup", action="store_true",
-                     help="disable crash-image deduplication and "
-                          "replay-prefix memoization (every failure "
-                          "point runs and replays from scratch; "
-                          "default: XFD_DEDUP or on)")
     run.add_argument("--json", action="store_true",
                      help="print the report as JSON")
     run.add_argument("--events", default=None, metavar="PATH",
@@ -420,8 +415,6 @@ def _cmd_run(args):
         overrides["journal"] = args.journal
     if args.resume is not None:
         overrides["resume"] = args.resume
-    if args.no_dedup:
-        overrides["dedup"] = False
     if args.events is not None:
         overrides["events"] = args.events
     if args.prom_textfile is not None:
@@ -540,7 +533,8 @@ def _baseline_key(finding, root):
 def _cmd_lint(args):
     import os
 
-    from repro.analysis import analyze_trace, lint_workload
+    from repro.analysis.lint import lint_workload
+    from repro.analysis.tracecheck import analyze_trace
 
     root = os.getcwd()
     if args.trace:
@@ -663,7 +657,7 @@ def _cmd_lint(args):
             raise SystemExit(2)
         print(f"-- {count} NDJSON records written to {args.ndjson}")
     if args.sarif:
-        from repro.analysis import to_sarif_json
+        from repro.analysis.sarif import to_sarif_json
 
         try:
             with open(args.sarif, "w") as handle:

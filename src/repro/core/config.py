@@ -49,15 +49,6 @@ def _default_batch_size():
     return max(1, size)
 
 
-def _default_dedup():
-    """Crash-state dedup switch: the ``XFD_DEDUP`` env var, default on.
-
-    Only explicit ``0/false/off/no`` disable — an ops knob mirroring
-    the CLI's ``--no-dedup``."""
-    raw = os.environ.get("XFD_DEDUP", "").strip().lower()
-    return raw not in ("0", "false", "off", "no")
-
-
 def _default_chaos():
     """Chaos fault spec: the ``XFD_CHAOS`` env var (e.g.
     ``crash:0.1,hang:0.05``), default None (no injection)."""
@@ -92,7 +83,10 @@ class DetectorConfig:
 
     The defaults match the paper's configuration; several knobs exist to
     ablate the paper's design decisions (see ``benchmarks/
-    bench_ablation.py``).
+    bench_ablation.py``).  Every other field is reachable from the CLI,
+    an ``XFD_*`` env variable or a service ``JobSpec``; fixed policy
+    with no measured reason to vary (retry backoff timing) is a module
+    constant of the subsystem that applies it.
     """
 
     #: Capture source locations on every trace event (needed for useful
@@ -105,6 +99,8 @@ class DetectorConfig:
 
     #: What the post-failure stage sees of non-persisted data
     #: (paper default: the full as-written image, Section 5.4 fn. 3).
+    #: ``PERSISTED_ONLY`` is restored as the all-lines-lost crash state
+    #: (survivor mask 0) of the same image memo every run uses.
     crash_image_mode: CrashImageMode = CrashImageMode.AS_WRITTEN
 
     #: Persistence domain of the simulated platform.  The paper's
@@ -174,22 +170,6 @@ class DetectorConfig:
     #: the ``XFD_BATCH_SIZE`` env var.
     batch_size: int = field(default_factory=_default_batch_size)
 
-    #: Crash-state deduplication (``repro.dedup``): fingerprint every
-    #: failure point's crash image incrementally, run only one
-    #: post-failure execution/replay per equivalence class, and clone
-    #: the findings onto the other members with per-member provenance.
-    #: It also turns on replay-prefix memoization: per-worker rolling
-    #: crash-image buffers advanced by per-failure-point deltas
-    #: (O(delta) instead of O(pool) image work per post-failure task),
-    #: and shadow checkpoints captured only at failure points with
-    #: live replays (skipped ones are rebuilt on demand).  Audited
-    #: runs replay every post-failure trace live.  Reports
-    #: stay content-identical to a dedup-off run modulo the
-    #: skipped-work counters.  CLI ``run --no-dedup`` / env
-    #: ``XFD_DEDUP=0`` disable it (needed only when a workload's
-    #: recovery is deliberately non-deterministic).
-    dedup: bool = field(default_factory=_default_dedup)
-
     #: Record every shadow-PM persistence/consistency FSM transition in
     #: an audit log (``repro.obs.AuditLog``) with address range,
     #: old->new state, epoch, and source location.  Strictly opt-in:
@@ -227,32 +207,13 @@ class DetectorConfig:
     #: deadline.  Overridable via the ``XFD_DEADLINE`` env var.
     exec_deadline: float | None = field(default_factory=_default_deadline)
 
-    #: Step budget (traced PM operations / replayed events) for each
-    #: post-failure execution and replay task.  None = unlimited.
-    exec_step_budget: int | None = None
-
     #: Retry budget for *transient* task faults (worker deaths): a key
     #: is retried on a fresh worker up to this many times before being
     #: quarantined.  Deterministic faults (harness errors, deadline
     #: hangs) are quarantined after the first attempt regardless.
+    #: Retry waves back off by ``repro.resilience.supervisor``'s
+    #: ``RETRY_BACKOFF`` and ``RETRY_JITTER``.
     max_retries: int = 2
-
-    #: Base delay (seconds) of the exponential retry backoff
-    #: (``retry_backoff * 2**generation``, capped).
-    retry_backoff: float = 0.05
-
-    #: Deterministic jitter fraction applied to each retry backoff:
-    #: the delay is scaled by ``1 + retry_jitter * u`` where ``u`` in
-    #: ``[0, 1)`` is a hash of the retried failure point, its attempt
-    #: number, and ``retry_jitter_salt``.  A fleet of shards retrying
-    #: the same flaky point therefore desynchronizes instead of
-    #: producing retry storms, while a single run stays reproducible.
-    #: 0 disables jitter.
-    retry_jitter: float = 0.1
-
-    #: Salt mixed into the retry-jitter hash.  ``repro.service`` sets
-    #: a distinct salt per shard so sibling shards spread out.
-    retry_jitter_salt: int = 0
 
     #: Chaos self-test spec, e.g. ``"crash:0.1,hang:0.05"``: inject
     #: synthetic worker faults at the given per-task rates to exercise

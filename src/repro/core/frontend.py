@@ -6,7 +6,7 @@ copy (Figure 8a).  Workload execution here is deterministic, so we run
 the pre-failure stage once end-to-end while the injector records a
 delta snapshot at every failure point, then run one post-failure
 execution per failure point (plus sampled crash-state variants) on its
-materialized image — semantically the same schedule with the same
+restored crash image — semantically the same schedule with the same
 complexity O(F · P) (Section 5.4).
 
 The post-failure executions are mutually independent, so the stage is
@@ -83,7 +83,7 @@ class PostRun:
     #: executed, the journal record its outcome was rebuilt from.
     journal_entry: dict | None = None
     #: Crash-state equivalence class id (``repro.dedup``), or None
-    #: when dedup is off / the run was journaled.
+    #: when the run was audited or journaled.
     dedup_class: int | None = None
     #: True when this run's outcome was cloned from its class
     #: representative instead of executed.
@@ -130,7 +130,8 @@ class FrontendResult:
     #: Post-failure executions skipped by crash-state dedup (their
     #: ``PostRun``s carry the representative's cloned outcome).
     post_runs_deduped: int = 0
-    #: Number of distinct crash-state classes, or None with dedup off.
+    #: Number of distinct crash-state classes, or None when audited
+    #: (or when no post-failure task ran live).
     dedup_classes: int | None = None
     #: The applied ``repro.analysis.plans.CrashPlanSet``, or None in
     #: exhaustive mode / when inference degraded.
@@ -439,8 +440,7 @@ class Frontend:
         # and runs itself otherwise.  Audited runs never clone: a clone
         # would have no audit records of its own.
         index = None
-        if keys and getattr(self.config, "dedup", False) \
-                and tel.audit is None:
+        if keys and tel.audit is None:
             from repro.dedup import DedupIndex
 
             index = DedupIndex.build(keys, injector.store)

@@ -66,14 +66,12 @@ class FailureInjector:
         #: points and times pool snapshots.
         self.telemetry = telemetry
         #: Delta snapshot store shared by every failure point of this
-        #: run (workers materialize crash images from it on demand).
-        #: Fingerprints ride along when dedup is on, so the frontend
-        #: can bucket failure points without materializing any pool.
+        #: run (workers restore crash images from it on demand).  Its
+        #: fingerprints let the frontend bucket failure points into
+        #: crash-state classes without materializing any pool.
         self.store = (
             snapshot_store if snapshot_store is not None
-            else SnapshotStore(
-                fingerprints=getattr(config, "dedup", False)
-            )
+            else SnapshotStore()
         )
         self._hashed_bytes_seen = 0
         self.failure_points = []
@@ -157,7 +155,7 @@ class FailureInjector:
             metrics.gauge("snapshot_bytes_saved").set(
                 self.store.bytes_saved
             )
-            hashed = getattr(self.store, "hashed_bytes", 0)
+            hashed = self.store.hashed_bytes
             if hashed > self._hashed_bytes_seen:
                 metrics.inc(
                     "dedup_bytes_hashed",

@@ -20,12 +20,13 @@ in three layers:
   is equal at both checkpoints (and runs itself otherwise, or when the
   representative is quarantined — a class is never silently dropped);
 * :mod:`repro.dedup.memo` — :class:`ImageMemo`, a per-worker rolling
-  crash-image buffer advanced by per-failure-point deltas, replacing
-  the O(pool) materialize-and-copy per post-failure task with O(delta).
+  crash-image buffer advanced by per-failure-point deltas: the one way
+  a post-failure task gets its crash image, in O(delta) instead of an
+  O(pool) copy per task.
 
-Everything is gated by ``DetectorConfig.dedup`` (CLI
-``run --no-dedup``, env ``XFD_DEDUP=0``); reports with dedup on
-are content-identical to an undeduplicated run modulo the
+Classes are built for every run except audited ones (a clone would
+have no audit records of its own).  Reports are content-identical to
+an undeduplicated run, such as ``tests/oracle.py``'s, modulo the
 skipped-work counters (``post_runs_deduped``, ``replays_deduped``).
 """
 

@@ -17,9 +17,8 @@ class DedupIndex:
 
     Class ids are small integers assigned in plan order, so they are
     deterministic across executors and stable enough to print in
-    ``PostRun`` reprs.  Keys whose failure point has no fingerprint
-    (the store was built with fingerprints off, or the key was spliced
-    from a resume journal) each get a singleton class.
+    ``PostRun`` reprs.  Keys spliced from a resume journal never reach
+    the index: it classifies only the keys that run live.
     """
 
     def __init__(self):
@@ -34,12 +33,8 @@ class DedupIndex:
         index = cls()
         by_state = {}
         for key in keys:
-            fingerprint = store.fingerprint(key[0])
-            if fingerprint is None:
-                cid = len(index.members)
-            else:
-                state = (key[2], fingerprint)
-                cid = by_state.setdefault(state, len(index.members))
+            state = (key[2], store.fingerprint(key[0]))
+            cid = by_state.setdefault(state, len(index.members))
             index.class_of[key] = cid
             index.members.setdefault(cid, []).append(key)
             index._reps.setdefault(cid, key)

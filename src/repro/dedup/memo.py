@@ -1,12 +1,12 @@
 """Per-worker crash-image memo: pool buffers reused across tasks.
 
-Without the memo every post-failure task pays O(pool size) three times
-over before recovery even starts: the snapshot cursor converts its
-bytearrays to immutable ``bytes`` (``SnapshotStore.materialize``), the
-variant path copies them again, and ``PMPool`` copies the data a third
-time on construction.  Consecutive failure points differ by a handful
-of cache lines, so almost all of that copying rewrites identical
-bytes.
+This is how every post-failure task gets its crash image.  Building
+fresh pools per task would cost O(pool size) three times over before
+recovery even starts: immutable ``bytes`` from the snapshot cursor
+(``SnapshotStore.materialize``), a masked copy for the crash-image mode
+or variant, and ``PMPool``'s own copy on construction.  Consecutive
+failure points differ by a handful of cache lines, so almost all of
+that copying would rewrite identical bytes.
 
 An :class:`ImageMemo` keeps, per worker (the serial schedule uses the
 main process's; each forked pool worker builds its own on first use):
@@ -89,10 +89,11 @@ class ImageMemo:
     def task_pools(self, fid, mask):
         """The pools for one post-failure task, ready to map.
 
-        ``mask`` is the task's survivor mask (None for the base run on
-        the as-written image).  The returned :class:`TrackedPool`s
-        alias this memo's working buffers: they are valid until the
-        next ``task_pools`` call on this memo.
+        ``mask`` is the task's survivor mask over the volatile lines:
+        None keeps every line as written, 0 reverts every line to its
+        persisted bytes (the persisted-only image).  The returned
+        :class:`TrackedPool`s alias this memo's working buffers: they
+        are valid until the next ``task_pools`` call on this memo.
         """
         changed = self._cursor.advance(fid)
         self.tasks_served += 1

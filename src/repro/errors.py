@@ -79,7 +79,7 @@ class TraversalLimitError(ReproError):
 
 
 class DeadlineExceeded(ReproError):
-    """A pipeline execution ran past its step or wall-clock budget.
+    """A pipeline execution ran past its wall-clock budget.
 
     Raised cooperatively by the PM runtime (every traced operation
     ticks the active :class:`repro.resilience.Deadline`) when a

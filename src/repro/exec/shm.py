@@ -152,16 +152,16 @@ class ShmSnapshotStore(SnapshotStore):
     """A snapshot store rebuilt over an attached shared segment.
 
     Behaves exactly like the source store for everything the
-    post-failure stage needs — ``deltas`` / ``materialize`` /
-    ``volatile_bits`` and the memo's ``SnapshotCursor`` — but its line
-    patches and base images are read-only memoryviews into the shared
-    buffer, so attaching costs O(index), not O(image bytes).
+    post-failure stage needs — ``deltas`` / ``volatile_bits`` and the
+    image memo's ``SnapshotCursor`` — but its line patches and base
+    images are read-only memoryviews into the shared buffer, so
+    attaching costs O(index), not O(image bytes).
     Fingerprints are parent-only (dedup classes are built before any
     fan-out), mirroring the pickle path.
     """
 
     def __init__(self, view):
-        super().__init__(fingerprints=False)
+        super().__init__()
         # Note on bpo-39959: attaching registers the segment with the
         # resource tracker as if it were a creation.  That is only a
         # problem across *independent* tracker processes; every

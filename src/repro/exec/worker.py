@@ -78,8 +78,8 @@ class PostPhaseContext:
                  checkpoints, audit, read_keys):
         self.config = config
         self.workload = workload
-        #: The pre-failure run's ``SnapshotStore``; workers materialize
-        #: crash images from it on demand.
+        #: The pre-failure run's ``SnapshotStore``; each worker's
+        #: ``ImageMemo`` restores crash images from it.
         self.store = store
         self.uses_roi = uses_roi
         #: The phase's ``ResilienceContext`` (chaos, deadlines, attempt
@@ -98,14 +98,11 @@ class PostPhaseContext:
     def export_for_workers(self, plane):
         """The warm-pool shipping form: the snapshot store swapped for
         a shared-memory view (workers attach zero-copy) and the
-        checkpoints stripped — they travel per batch.  A store without
-        delta support ships as-is through the pickle."""
-        store = self.store
-        if hasattr(store, "deltas"):
-            store = plane.publish(store)
+        checkpoints stripped — they travel per batch."""
         return PostPhaseContext(
-            self.config, self.workload, store, self.uses_roi,
-            self.resilience, {}, self.audit, self.read_keys,
+            self.config, self.workload, plane.publish(self.store),
+            self.uses_roi, self.resilience, {}, self.audit,
+            self.read_keys,
         )
 
     def batch_payload(self, keys):
@@ -166,7 +163,7 @@ class PostTaskOutcome:
 
 
 def run_post_task(ctx, key):
-    """Run one post-failure execution on a materialized crash image,
+    """Run one post-failure execution on a restored crash image,
     checking each of its operations against a fork of the failure
     point's shadow checkpoint as it executes.
 
@@ -177,12 +174,12 @@ def run_post_task(ctx, key):
     from repro.core.interface import DetectionComplete, XFInterface
     from repro.core.replay import TraceReplayer
     from repro.core.report import DetectionReport
+    from repro.dedup.memo import memo_for
     from repro.obs.audit import AuditLog
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.spans import SpanRecorder
     from repro.pm.image import CrashImageMode
     from repro.pm.memory import PersistentMemory
-    from repro.pm.pool import PMPool
     from repro.trace.recorder import NullRecorder
 
     fid, variant, mask = key
@@ -213,45 +210,16 @@ def run_post_task(ctx, key):
                 platform=config.platform,
             )
             memory.deadline = deadline
-            # Replay-prefix memo (on with dedup): reuse this worker's
-            # rolling image buffers (O(delta) per task instead of three
-            # O(pool) copies).  The persisted-only ablation mode keeps
-            # the legacy materialize path — its base image is the
-            # strict view, which the memo's working buffer does not
-            # model.
-            use_memo = (
-                getattr(config, "dedup", False)
-                and config.crash_image_mode is CrashImageMode.AS_WRITTEN
-                and hasattr(ctx.store, "deltas")
-            )
+            # This worker's rolling image buffers restore the crash
+            # image in O(divergence) from the previous task's.  The
+            # persisted-only base run is the all-lines-lost survivor
+            # mask: every volatile line reverts to its persisted bytes.
+            if mask is None and \
+                    config.crash_image_mode is CrashImageMode.PERSISTED_ONLY:
+                mask = 0
             with spans.span("materialize_image"):
-                if use_memo:
-                    from repro.dedup.memo import memo_for
-
-                    memo_pools = memo_for(ctx.store).task_pools(
-                        fid, mask
-                    )
-                    for pool in memo_pools:
-                        memory.map_pool(pool)
-                else:
-                    images = ctx.store.materialize(fid)
-                    bit_offset = 0
-                    for image in images:
-                        if mask is None:
-                            data = image.bytes_for(
-                                config.crash_image_mode
-                            )
-                        else:
-                            bits = len(image.volatile_lines)
-                            sub_mask = (
-                                (mask >> bit_offset) & ((1 << bits) - 1)
-                            )
-                            bit_offset += bits
-                            data = image.variant_bytes(sub_mask)
-                        memory.map_pool(
-                            PMPool(image.pool_name, image.size,
-                                   image.base, data=data)
-                        )
+                for pool in memo_for(ctx.store).task_pools(fid, mask):
+                    memory.map_pool(pool)
             shadow = ctx.checkpoints[fid].fork_for_replay(
                 metrics.counter("shadow_transitions_total")
             )

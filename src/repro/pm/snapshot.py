@@ -5,13 +5,15 @@ point, making snapshot time and resident memory O(F · pool size).  A
 :class:`SnapshotStore` instead records, per failure point, only the
 cache lines dirtied since the previous failure point (the cache model's
 ``drain_touched`` set) plus one full base image the first time a pool
-is seen.  Full :class:`~repro.pm.image.PMImage` crash images are
-reconstructed on demand — typically inside the executor worker that
-runs the post-failure stage — by replaying the line deltas forward
-from the base over an incremental cursor.
+is seen.  Crash images are reconstructed on demand by replaying the
+line deltas forward from the base over an incremental
+:class:`SnapshotCursor`: post-failure tasks restore them into their
+worker's rolling buffers (``repro.dedup.memo.ImageMemo``), and
+``materialize`` builds full :class:`~repro.pm.image.PMImage` crash
+images for inspection.
 
 The store is append-only during the pre-failure stage and read-only
-afterwards, so forked pool workers can materialize from it (attached
+afterwards, so forked pool workers can restore from it (attached
 through shared memory) while the serial schedule reads it in place.
 The ``bytes_saved`` accounting backs the ``snapshot_bytes_saved``
 metric: how many bytes the legacy full-copy scheme would have recorded
@@ -125,18 +127,15 @@ class SnapshotCursor:
 class SnapshotStore:
     """Append-only store of per-failure-point pool deltas."""
 
-    def __init__(self, fingerprints=False):
+    def __init__(self):
         self._snapshots = []  # fid -> [PoolDelta, ...]
         self._known_pools = set()
         #: Image bytes actually recorded across all snapshots.
         self.recorded_bytes = 0
         #: Image bytes the legacy full-copy scheme would have recorded.
         self.full_equivalent_bytes = 0
-        #: Maintain incremental crash-image fingerprints per capture
-        #: (``repro.dedup``): O(dirty lines) extra hashing per failure
-        #: point, enabling crash-state deduplication.
-        self.fingerprints = fingerprints
-        #: Bytes fed to the fingerprint hash so far (the
+        #: Bytes fed to the incremental crash-image fingerprints
+        #: (``repro.dedup``) so far: O(dirty lines) per capture (the
         #: ``dedup_bytes_hashed`` metric).
         self.hashed_bytes = 0
         self._folds = {}  # pool name -> repro.dedup.PoolFold
@@ -216,9 +215,6 @@ class SnapshotStore:
     def _fingerprint_capture(self, deltas):
         """Fold the just-captured deltas into the per-pool fingerprints
         and record the new failure point's fingerprint tuple."""
-        if not self.fingerprints:
-            self._records.append(None)
-            return
         from repro.dedup.fingerprint import PoolFold
 
         record = []
@@ -256,11 +252,9 @@ class SnapshotStore:
     def fingerprint(self, fid):
         """The crash-image fingerprint at ``fid``: one
         ``(pool_name, data_fold, persist_fold, volatile_lines)`` tuple
-        per pool, or None when fingerprints are off (or the store
-        crossed a pickle boundary, which drops them — only the parent
-        builds dedup classes)."""
-        if fid >= len(self._records):
-            return None
+        per pool.  Only the capturing store has them: a store that
+        crossed into a worker raises ``IndexError`` (dedup classes are
+        built in the parent, before any fan-out)."""
         return self._records[fid]
 
     # -- materialization (post-failure / inspection) --------------------
@@ -302,7 +296,6 @@ class SnapshotStore:
         self._known_pools = set(state["known_pools"])
         self.recorded_bytes = state["recorded_bytes"]
         self.full_equivalent_bytes = state["full_equivalent_bytes"]
-        self.fingerprints = False
         self.hashed_bytes = 0
         self._folds = {}
         self._records = []

@@ -4,8 +4,8 @@ Four cooperating mechanisms keep a long detection run alive through
 harness faults without compromising the byte-identical-report
 guarantee for the failure points that complete:
 
-* **Deadline watchdogs** (:mod:`repro.resilience.deadline`): step and
-  wall-clock budgets ticked cooperatively by the PM runtime, backed by
+* **Deadline watchdogs** (:mod:`repro.resilience.deadline`): a
+  wall-clock budget ticked cooperatively by the PM runtime, backed by
   a hard monitor thread in forked pool workers.
 * **Quarantine-and-continue** (:mod:`repro.resilience.supervisor`):
   failed keys are classified, retried with bounded exponential backoff

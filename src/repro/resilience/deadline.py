@@ -1,12 +1,12 @@
-"""Deadline watchdogs: step/time budgets for pipeline executions.
+"""Deadline watchdogs: wall-clock budgets for pipeline executions.
 
 Two layers of defense against a post-failure execution that never
 terminates (e.g. a corrupted B-Tree turning a ``while True`` traversal
 into a livelock):
 
 * **Cooperative**: a :class:`Deadline` attached to the PM runtime is
-  ticked on every traced operation; exceeding the step or wall-clock
-  budget raises :class:`~repro.errors.DeadlineExceeded`, which the
+  ticked on every traced operation; exceeding the wall-clock budget
+  raises :class:`~repro.errors.DeadlineExceeded`, which the
   resilience layer records as a ``HANG`` incident.  This catches every
   loop that touches PM — which a recovery traversal must.
 * **Hard**: a :class:`Watchdog` monitor thread fires an action when
@@ -38,20 +38,17 @@ HARD_KILL_SLACK = 0.5
 
 
 class Deadline:
-    """A step and/or wall-clock budget enforced cooperatively.
+    """A wall-clock budget enforced cooperatively.
 
     ``tick()`` is called from the interpreter loop (one tick per traced
-    PM operation, or per replayed event); it raises
-    :class:`DeadlineExceeded` once either budget is exhausted.  Both
-    budgets are optional; a deadline with neither never expires.
+    PM operation); it raises :class:`DeadlineExceeded` once the budget
+    is exhausted.  ``steps`` counts the ticks so the error says how far
+    the task got.  A deadline without a budget never expires.
     """
 
-    __slots__ = ("max_steps", "max_seconds", "steps", "_started",
-                 "_clock")
+    __slots__ = ("max_seconds", "steps", "_started", "_clock")
 
-    def __init__(self, max_steps=None, max_seconds=None,
-                 clock=time.monotonic):
-        self.max_steps = max_steps
+    def __init__(self, max_seconds=None, clock=time.monotonic):
         self.max_seconds = max_seconds
         self.steps = 0
         self._clock = clock
@@ -62,18 +59,12 @@ class Deadline:
         return self._clock() - self._started
 
     def tick(self):
-        """Count one interpreter step and enforce both budgets."""
+        """Count one interpreter step and enforce the budget."""
         self.steps += 1
-        if self.max_steps is not None and self.steps > self.max_steps:
-            raise DeadlineExceeded(
-                f"step budget exhausted ({self.steps} > "
-                f"{self.max_steps} steps)",
-                steps=self.steps, seconds=self.elapsed,
-            )
         self.check_time()
 
     def check_time(self):
-        """Enforce the wall-clock budget alone (steps unchanged)."""
+        """Enforce the wall-clock budget without counting a step."""
         if self.max_seconds is None:
             return
         elapsed = self.elapsed

@@ -39,8 +39,18 @@ from repro.resilience.deadline import (
 )
 from repro.resilience.incidents import Incident, IncidentKind
 
+#: Base delay (seconds) of the exponential retry backoff:
+#: ``RETRY_BACKOFF * 2**(generation - 1)``, capped at ``BACKOFF_CAP``.
+RETRY_BACKOFF = 0.05
+
 #: Ceiling for one backoff sleep, whatever the generation.
 BACKOFF_CAP = 2.0
+
+#: Deterministic jitter fraction: each backoff is scaled by
+#: ``1 + RETRY_JITTER * u`` with ``u`` from :func:`jitter_unit`, so
+#: retry waves led by different failure points spread out while a
+#: rerun of the same run sleeps the same.
+RETRY_JITTER = 0.1
 
 #: FNV-1a 64-bit constants for the deterministic jitter hash.
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -52,9 +62,11 @@ def jitter_unit(fid, attempt, salt=0):
 
     FNV-1a over ``fid | attempt | salt``: the same retried point backs
     off by the same amount on every rerun (reports and journals stay
-    reproducible), while different points — and the same point on
-    different shards, via the salt — spread out instead of retrying in
-    lock-step.  No global RNG state is touched.
+    reproducible), while different points spread out instead of
+    retrying in lock-step.  The salt separates callers that reuse the
+    same ``(fid, attempt)`` pairs for different things (the service
+    reaper keys shard reclaims on it).  No global RNG state is
+    touched.
     """
     digest = _FNV_OFFSET
     for byte in f"{fid}|{attempt}|{salt}".encode():
@@ -99,45 +111,41 @@ class ResilienceContext:
     """
 
     __slots__ = ("phase", "chaos", "attempts", "deadline_seconds",
-                 "step_budget", "origin_pid")
+                 "origin_pid")
 
-    def __init__(self, phase, chaos=None, deadline_seconds=None,
-                 step_budget=None):
+    def __init__(self, phase, chaos=None, deadline_seconds=None):
         self.phase = phase
         self.chaos = chaos
         #: key -> attempt number (1-based), bumped by the supervisor
         #: before each submission wave.
         self.attempts = {}
         self.deadline_seconds = deadline_seconds
-        self.step_budget = step_budget
         #: Pid of the supervising process; a task body compares it to
         #: detect that it runs in a forked pool worker.
         self.origin_pid = os.getpid()
 
     @classmethod
     def from_config(cls, config, phase):
-        """The phase's resilience context, or None when chaos,
-        deadline, and step budget are all unset."""
+        """The phase's resilience context, or None when neither chaos
+        nor a wall-clock deadline is set (a livelocked recovery is
+        caught only under a deadline: ``--deadline`` / ``XFD_DEADLINE``,
+        whose forked-worker watchdog also kills spins that never touch
+        PM)."""
         chaos = getattr(config, "chaos", None)
         if not isinstance(chaos, ChaosPolicy):
             chaos = ChaosPolicy.parse(chaos)
         deadline_seconds = getattr(config, "exec_deadline", None)
-        step_budget = getattr(config, "exec_step_budget", None)
-        if chaos is None and deadline_seconds is None \
-                and step_budget is None:
+        if chaos is None and deadline_seconds is None:
             return None
-        return cls(phase, chaos, deadline_seconds, step_budget)
+        return cls(phase, chaos, deadline_seconds)
 
     def in_forked_worker(self):
         return os.getpid() != self.origin_pid
 
     def new_deadline(self):
-        if self.deadline_seconds is None and self.step_budget is None:
+        if self.deadline_seconds is None:
             return None
-        return Deadline(
-            max_steps=self.step_budget,
-            max_seconds=self.deadline_seconds,
-        )
+        return Deadline(max_seconds=self.deadline_seconds)
 
     def guard_task(self, key):
         """Arm one task: roll chaos, build its cooperative deadline,
@@ -155,11 +163,7 @@ class ResilienceContext:
                 deadline=deadline,
             )
         watchdog = None
-        if (
-            deadline is not None
-            and deadline.max_seconds is not None
-            and self.in_forked_worker()
-        ):
+        if deadline is not None and self.in_forked_worker():
             # Only a forked worker may be hard-killed: os._exit in the
             # supervising process would take the whole run down.  The generous
             # factor gives the cooperative layer first shot at a
@@ -190,15 +194,6 @@ class PhaseSupervisor:
         self.resilience = resilience
         self.telemetry = telemetry
         self.max_retries = int(getattr(config, "max_retries", 2) or 0)
-        self.retry_backoff = float(
-            getattr(config, "retry_backoff", 0.05) or 0.0
-        )
-        self.retry_jitter = float(
-            getattr(config, "retry_jitter", 0.0) or 0.0
-        )
-        self.jitter_salt = int(
-            getattr(config, "retry_jitter_salt", 0) or 0
-        )
         self._sleep = sleep
         #: Attempt counts shared with workers when a resilience
         #: context exists (chaos rolls are per-attempt).
@@ -284,28 +279,21 @@ class PhaseSupervisor:
         """Sleep before a retry wave: exponential in the generation,
         capped, deterministically jittered, and visible in telemetry.
 
-        Jitter multiplies *after* the cap — desynchronizing a fleet of
-        shards is worth up to ``retry_jitter`` extra over the ceiling —
-        and is keyed on the wave's first pending point, so one wave
-        sleeps once, not per key.
+        Jitter multiplies *after* the cap, so a capped wave still
+        spreads by up to ``RETRY_JITTER`` over the ceiling, and is
+        keyed on the wave's first pending point, so one wave sleeps
+        once, not per key.
         """
-        delay = min(
-            self.retry_backoff * (2 ** (generation - 1)), BACKOFF_CAP
+        delay = min(RETRY_BACKOFF * (2 ** (generation - 1)), BACKOFF_CAP)
+        lead = pending[0]
+        delay *= 1.0 + RETRY_JITTER * jitter_unit(
+            lead[0], self.attempts.get(lead, 1)
         )
-        if delay > 0 and self.retry_jitter > 0 and pending:
-            lead = pending[0]
-            delay *= 1.0 + self.retry_jitter * jitter_unit(
-                lead[0], self.attempts.get(lead, 1), self.jitter_salt
-            )
         tel = self.telemetry
         if tel is not None:
             tel.metrics.inc("resilience.retries_total", len(pending))
             tel.metrics.set_gauge(
                 "resilience.retry_generation", generation
             )
-            if delay > 0:
-                tel.metrics.observe(
-                    "resilience.backoff_seconds", delay
-                )
-        if delay > 0:
-            self._sleep(delay)
+            tel.metrics.observe("resilience.backoff_seconds", delay)
+        self._sleep(delay)

@@ -83,7 +83,6 @@ def _run_task(task, settings, executor, store):
             events_path=events,
             heartbeat_path=store.heartbeat_path(job_id, shard_id),
             executor=executor,
-            jitter_salt=task.get("jitter_salt", shard_id),
             heartbeat_interval=settings.heartbeat_interval,
         )
     if kind == "merge":

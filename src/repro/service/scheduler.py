@@ -269,7 +269,6 @@ class Scheduler:
             task = self._task_base(
                 "shard", spec, record,
                 shard_id=shard.shard_id, lo=shard.lo, hi=shard.hi,
-                jitter_salt=shard.shard_id + 1,
             )
             if not self.fleet.dispatch(task):
                 return  # fleet is full; try next step

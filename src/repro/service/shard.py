@@ -166,7 +166,7 @@ def _quarantine_corrupt(path):
 
 
 def run_shard(spec, lo, hi, journal_path, *, run_id, events_path=None,
-              heartbeat_path=None, executor=None, jitter_salt=0,
+              heartbeat_path=None, executor=None,
               heartbeat_interval=1.0):
     """Run the job restricted to ``[lo, hi)``, journaling as it goes.
 
@@ -184,7 +184,6 @@ def run_shard(spec, lo, hi, journal_path, *, run_id, events_path=None,
             failure_point_window=(lo, hi),
             journal=journal_path,
             resume=resume,
-            retry_jitter_salt=jitter_salt,
             telemetry=telemetry,
         )
         started = time.monotonic()

@@ -1,9 +1,12 @@
 """Dedup/memoization must never change what a run reports.
 
-The report contract: with dedup and the replay memo on, at any
-executor width, the report's content (bugs with per-fid provenance,
-incidents, non-timing stats) is identical to a serial dedup-off run —
-the only differences allowed are the skipped-work counters themselves.
+The report contract: at any executor width, the report's content (bugs
+with per-fid provenance, incidents, non-timing stats) is identical to
+an undeduplicated run — the only differences allowed are the
+skipped-work counters themselves.  Bugs are checked against
+``tests/oracle.py``, which never dedups; counters against a run of the
+engine whose crash-state classes are all singletons, so nothing
+clones.
 """
 
 import pytest
@@ -11,8 +14,10 @@ import pytest
 from repro.core import DetectorConfig, XFDetector
 from repro.errors import HarnessError
 from repro.pm.pool import PMPool
+from repro.pm.snapshot import SnapshotStore
 from repro.workloads import HashmapAtomicWorkload, HashmapTxWorkload
 from repro.workloads.base import Workload
+from tests.oracle import oracle_bugs
 
 SKIPPED_WORK_KEYS = ("post_runs_deduped", "replays_deduped")
 
@@ -27,8 +32,15 @@ def _content(report):
     return data
 
 
-def _config(enabled, **kwargs):
-    return DetectorConfig(dedup=enabled, **kwargs)
+def _undeduplicated(monkeypatch, workload, **config_kwargs):
+    """A run whose crash-state classes are all singletons: every
+    failure point gets a fingerprint of its own, so no key shares a
+    class and every post-failure run executes."""
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            SnapshotStore, "fingerprint", lambda _store, fid: fid
+        )
+        return XFDetector(DetectorConfig(**config_kwargs)).run(workload)
 
 
 class ForcedDuplicates(Workload):
@@ -63,7 +75,7 @@ class TestParallelDedupDeterminism:
         "workload_cls", [HashmapTxWorkload, HashmapAtomicWorkload]
     )
     def test_jobs4_dedup_on_equals_serial_dedup_off(
-        self, workload_cls
+        self, workload_cls, monkeypatch
     ):
         def factory():
             return workload_cls(
@@ -74,19 +86,18 @@ class TestParallelDedupDeterminism:
                 test_size=3,
             )
 
-        serial_off = XFDetector(_config(False)).run(factory())
-        parallel_on = XFDetector(_config(True, jobs=4)).run(factory())
+        serial_off = _undeduplicated(monkeypatch, factory(), jobs=1)
+        parallel_on = XFDetector(DetectorConfig(jobs=4)).run(factory())
         assert _content(parallel_on) == _content(serial_off)
+        assert parallel_on.bugs == oracle_bugs(factory(), DetectorConfig())
 
 
 class TestDedupFires:
-    def test_forced_duplicates_dedup_and_identical_report(self):
-        off = XFDetector(_config(False)).run(
-            ForcedDuplicates(test_size=3)
-        )
-        on = XFDetector(_config(True)).run(
-            ForcedDuplicates(test_size=3)
-        )
+    def test_forced_duplicates_dedup_and_identical_report(
+        self, monkeypatch
+    ):
+        off = _undeduplicated(monkeypatch, ForcedDuplicates(test_size=3))
+        on = XFDetector(DetectorConfig()).run(ForcedDuplicates(test_size=3))
         assert on.stats.post_runs_deduped > 0
         assert on.stats.replays_deduped > 0
         metrics = on.telemetry.metrics
@@ -95,30 +106,38 @@ class TestDedupFires:
         assert on.stats.replays_deduped == on.stats.post_runs_deduped
         assert metrics.value("replay_events_skipped") > 0
         # Every member that cloned skipped its run and its checks:
-        # the run-level counters still equal a dedup-off run's.
+        # the run-level counters still equal an undeduplicated run's.
         off_metrics = off.telemetry.metrics
         for name in ("post_runs", "shadow_transitions_total",
                      "post_reads_checked", "bugs_reported_total"):
             assert metrics.value(name) == off_metrics.value(name)
         assert metrics.value("dedup_bytes_hashed") > 0
         assert _content(on) == _content(off)
-
-    def test_parallel_forced_duplicates_identical(self):
-        serial_off = XFDetector(_config(False)).run(
-            ForcedDuplicates(test_size=3)
+        assert on.bugs == oracle_bugs(
+            ForcedDuplicates(test_size=3), DetectorConfig()
         )
-        parallel_on = XFDetector(_config(True, jobs=4)).run(
+
+    def test_parallel_forced_duplicates_identical(self, monkeypatch):
+        serial_off = _undeduplicated(
+            monkeypatch, ForcedDuplicates(test_size=3), jobs=1
+        )
+        parallel_on = XFDetector(DetectorConfig(jobs=4)).run(
             ForcedDuplicates(test_size=3)
         )
         assert parallel_on.stats.post_runs_deduped > 0
         assert _content(parallel_on) == _content(serial_off)
-
-    def test_dedup_off_runs_everything(self):
-        report = XFDetector(_config(False)).run(
-            ForcedDuplicates(test_size=3)
+        assert parallel_on.bugs == oracle_bugs(
+            ForcedDuplicates(test_size=3), DetectorConfig()
         )
+
+    def test_dedup_off_runs_everything(self, monkeypatch):
+        """With every class a singleton there is no member to clone:
+        every key executes."""
+        report = _undeduplicated(monkeypatch, ForcedDuplicates(test_size=3))
         assert report.stats.post_runs_deduped == 0
         assert report.stats.replays_deduped == 0
+        assert report.telemetry.metrics.value("dedup_post_classes") == \
+            report.stats.post_runs_analyzed
 
 
 class TestQuarantinedRepresentativeFallback:
@@ -143,11 +162,11 @@ class TestQuarantinedRepresentativeFallback:
         monkeypatch.setattr(
             frontend_mod, "run_post_task", flaky_run_post_task
         )
-        report = XFDetector(
-            _config(True, retry_backoff=0.0)
-        ).run(ForcedDuplicates(test_size=2))
+        report = XFDetector(DetectorConfig()).run(
+            ForcedDuplicates(test_size=2)
+        )
         monkeypatch.setattr(frontend_mod, "run_post_task", original)
-        clean = XFDetector(_config(True)).run(
+        clean = XFDetector(DetectorConfig()).run(
             ForcedDuplicates(test_size=2)
         )
         # Sanity: the broken fid really is a multi-member class rep.
@@ -172,39 +191,17 @@ class TestQuarantinedRepresentativeFallback:
         assert report_bugs == clean_bugs
 
 
-class TestNoDedupEscapeHatch:
-    def test_cli_no_dedup_flag(self, capsys):
-        from repro.cli import main
-
-        status = main([
-            "run", "hashmap_tx", "--test", "1", "--no-dedup",
-            "--json",
-        ])
-        import json
-
-        payload = json.loads(capsys.readouterr().out)
-        assert status == 0
-        assert payload["stats"]["post_runs_deduped"] == 0
-        assert payload["stats"]["replays_deduped"] == 0
-
-    def test_env_knob_disables_dedup(self, monkeypatch):
-        monkeypatch.setenv("XFD_DEDUP", "0")
-        assert DetectorConfig().dedup is False
-        monkeypatch.setenv("XFD_DEDUP", "1")
-        assert DetectorConfig().dedup is True
-
-
 class TestDescribe:
     def test_post_run_and_result_describe_dedup(self):
         result = None
-        report = XFDetector(_config(True)).run(
+        report = XFDetector(DetectorConfig()).run(
             ForcedDuplicates(test_size=2)
         )
         assert report.stats.post_runs_deduped > 0
 
         from repro.core.frontend import Frontend
 
-        result = Frontend(_config(True)).run(
+        result = Frontend(DetectorConfig()).run(
             ForcedDuplicates(test_size=2)
         )
         assert "dedup_classes=" in result.describe()

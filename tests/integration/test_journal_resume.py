@@ -29,7 +29,7 @@ def _workload(test_size=3):
 
 
 def _run(test_size=3, **config_kwargs):
-    config = DetectorConfig(retry_backoff=0.0, **config_kwargs)
+    config = DetectorConfig(**config_kwargs)
     return XFDetector(config).run(_workload(test_size))
 
 
@@ -163,27 +163,19 @@ class TestQuarantineInteraction:
         report."""
         reference = _report_dict(_run())
         broken_fid = 1
-        originals = {
-            name: getattr(SnapshotStore, name)
-            for name in ("materialize", "deltas")
-        }
+        original = SnapshotStore.deltas
 
-        def flaky(name):
-            def accessor(self, fid):
-                if fid == broken_fid:
-                    raise HarnessError(
-                        "snapshot store corrupted", phase="post_exec"
-                    )
-                return originals[name](self, fid)
-
-            return accessor
+        def deltas(self, fid):
+            if fid == broken_fid:
+                raise HarnessError(
+                    "snapshot store corrupted", phase="post_exec"
+                )
+            return original(self, fid)
 
         journal_path = str(tmp_path / "degraded.ndjson")
-        for name in originals:
-            monkeypatch.setattr(SnapshotStore, name, flaky(name))
+        monkeypatch.setattr(SnapshotStore, "deltas", deltas)
         degraded = _run(journal=journal_path)
-        for name, method in originals.items():
-            monkeypatch.setattr(SnapshotStore, name, method)
+        monkeypatch.setattr(SnapshotStore, "deltas", original)
         assert degraded.degraded
         journaled_fids = {
             record["fid"]

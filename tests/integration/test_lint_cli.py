@@ -115,7 +115,7 @@ class TestLint:
         assert "XF-M002" in out
 
     def test_sarif_export_round_trips(self, capsys, tmp_path):
-        from repro.analysis import findings_from_sarif
+        from repro.analysis.sarif import findings_from_sarif
 
         path = tmp_path / "lint.sarif"
         main([

@@ -8,7 +8,8 @@ oracle's element for element:
 
 * every workload, fault-free and with each of its faults, at the
   default config;
-* one fault per workload under each non-default knob, one at a time;
+* one fault per workload under each non-default knob, one at a time,
+  and under one pair of knobs;
 * a derandomized property over workload, fault and sizes.
 
 The pool width follows ``XFD_JOBS``, so the warm-pool leg of the
@@ -64,12 +65,16 @@ def test_every_fault_matches_oracle(name, fault):
 
 
 #: Each knob set alone: those that change what a run detects, and
-#: ``dedup`` and ``audit``, which must not.
+#: ``audit``, which must not.  One pair: the persisted-only base run
+#: and its crash-state variants restore through the same image memo.
 KNOBS = {
     "crash_states": {"crash_state_variants": 2},
     "persisted_only": {"crash_image_mode": CrashImageMode.PERSISTED_ONLY},
+    "persisted_only_crash_states": {
+        "crash_image_mode": CrashImageMode.PERSISTED_ONLY,
+        "crash_state_variants": 2,
+    },
     "eadr": {"platform": PlatformMode.EADR},
-    "no_dedup": {"dedup": False},
     "audit": {"audit": True},
     "every_read": {"first_read_only": False},
     "trust_zeroing": {"trust_allocator_zeroing": True},

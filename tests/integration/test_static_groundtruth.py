@@ -10,13 +10,14 @@ The full static-vs-dynamic coverage split is recorded by
 
 import pytest
 
-from repro.analysis import analyze_workload, expected_rules
 from repro.analysis.groundtruth import (
     CANONICAL_PARAMS,
     STATIC_EXPECTATIONS,
     dynamic_only,
+    expected_rules,
     statically_detectable,
 )
+from repro.analysis.interp import analyze_workload
 from repro.workloads import ALL_WORKLOADS
 
 

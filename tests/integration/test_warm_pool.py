@@ -35,7 +35,6 @@ def _workload(test_size=3):
 
 
 def _run(workload=None, **config_kwargs):
-    config_kwargs.setdefault("retry_backoff", 0.0)
     config = DetectorConfig(**config_kwargs)
     detector = XFDetector(config)
     report = detector.run(

@@ -5,12 +5,10 @@ file, plus the lexical hygiene checks and the offline trace checker.
 
 import pytest
 
-from repro.analysis import (
-    analyze_trace,
-    analyze_workload,
-    check_module,
-    lint_workload,
-)
+from repro.analysis.hygiene import check_module
+from repro.analysis.interp import analyze_workload
+from repro.analysis.lint import lint_workload
+from repro.analysis.tracecheck import analyze_trace
 from repro.pmdk import ObjectPool, Struct, U64, pmem
 from repro.workloads.base import Workload
 

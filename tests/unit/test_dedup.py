@@ -65,7 +65,7 @@ class TestFingerprintClasses:
         image, so the failure points land in different classes; a
         capture with nothing in between lands in the same class."""
         memory = _memory()
-        store = SnapshotStore(fingerprints=True)
+        store = SnapshotStore()
         memory.store(BASE, b"A" * 8)
         memory.flush(BASE, 8)
         memory.fence()
@@ -85,7 +85,7 @@ class TestFingerprintClasses:
         produces the same crash image — same class (the fold XORs the
         old term out and the identical term back in)."""
         memory = _memory()
-        store = SnapshotStore(fingerprints=True)
+        store = SnapshotStore()
         memory.snapshot_delta(store)  # fid 0: base image
         memory.store(BASE, b"A" * 8)
         memory.snapshot_delta(store)  # fid 1
@@ -103,7 +103,7 @@ class TestFingerprintClasses:
         masks never share a class, even though the fingerprint is
         identical."""
         memory = _memory()
-        store = SnapshotStore(fingerprints=True)
+        store = SnapshotStore()
         memory.store(BASE, b"A" * 8)
         memory.snapshot_delta(store)
         keys = [_key(0), _key(0, 0, 0), _key(0, 1, 1)]
@@ -113,7 +113,7 @@ class TestFingerprintClasses:
 
     def test_equal_masks_equal_images_share_class(self):
         memory = _memory()
-        store = SnapshotStore(fingerprints=True)
+        store = SnapshotStore()
         memory.store(BASE, b"A" * 8)
         memory.snapshot_delta(store)  # fid 0
         memory.snapshot_delta(store)  # fid 1 identical
@@ -122,20 +122,9 @@ class TestFingerprintClasses:
         )
         assert index.dedup_classes == 1
 
-    def test_fingerprints_off_yields_singletons(self):
-        memory = _memory()
-        store = SnapshotStore()  # fingerprints off
-        memory.store(BASE, b"A" * 8)
-        memory.snapshot_delta(store)
-        memory.snapshot_delta(store)
-        assert store.fingerprint(0) is None
-        index = DedupIndex.build([_key(0), _key(1)], store)
-        assert index.dedup_classes == 2
-        assert index.deduped == 0
-
     def test_fallback_keys_cover_orphaned_members(self):
         memory = _memory()
-        store = SnapshotStore(fingerprints=True)
+        store = SnapshotStore()
         memory.store(BASE, b"A" * 8)
         memory.snapshot_delta(store)
         memory.snapshot_delta(store)
@@ -150,7 +139,7 @@ class TestFingerprintClasses:
 
     def test_hashed_bytes_accounted(self):
         memory = _memory()
-        store = SnapshotStore(fingerprints=True)
+        store = SnapshotStore()
         memory.store(BASE, b"A" * 8)
         memory.snapshot_delta(store)
         assert store.hashed_bytes >= 2 * POOL_SIZE  # base images
@@ -166,7 +155,7 @@ class TestImageMemo:
         """A store with three failure points and some persisted and
         volatile writes between them."""
         memory = _memory()
-        store = SnapshotStore(fingerprints=True)
+        store = SnapshotStore()
         memory.store(BASE, b"A" * 8)
         memory.flush(BASE, 8)
         memory.fence()
@@ -209,6 +198,10 @@ class TestImageMemo:
                 pool.read(pool.base, pool.size)
                 == image.variant_bytes(mask)
             ), f"mask {mask:#b}"
+        # Mask 0 is how a persisted-only run restores its image.
+        (pool,) = memo.task_pools(fid, 0)
+        assert pool.read(pool.base, pool.size) == image.persisted_data
+        assert image.persisted_data != image.data
 
     def test_backwards_fid_rebuilds(self):
         store = self._snapshots()

@@ -41,14 +41,6 @@ class FakeClock:
 
 
 class TestDeadline:
-    def test_step_budget_raises(self):
-        deadline = Deadline(max_steps=3)
-        for _ in range(3):
-            deadline.tick()
-        with pytest.raises(DeadlineExceeded) as excinfo:
-            deadline.tick()
-        assert excinfo.value.steps == 4
-
     def test_wall_budget_raises(self):
         clock = FakeClock()
         deadline = Deadline(max_seconds=1.0, clock=clock)
@@ -57,6 +49,7 @@ class TestDeadline:
         with pytest.raises(DeadlineExceeded) as excinfo:
             deadline.tick()
         assert excinfo.value.seconds == pytest.approx(1.5)
+        assert excinfo.value.steps == 2
 
     def test_no_budget_never_expires(self):
         deadline = Deadline()
@@ -64,7 +57,7 @@ class TestDeadline:
             deadline.tick()
 
     def test_check_time_does_not_count_steps(self):
-        deadline = Deadline(max_steps=1)
+        deadline = Deadline(max_seconds=1.0, clock=FakeClock())
         deadline.check_time()
         deadline.check_time()
         assert deadline.steps == 0
@@ -303,7 +296,7 @@ def _key(fid):
 
 class TestPhaseSupervisor:
     def _supervisor(self, incident_log, **config_kwargs):
-        config = DetectorConfig(retry_backoff=0.0, **config_kwargs)
+        config = DetectorConfig(**config_kwargs)
         return PhaseSupervisor(
             "post_exec", config, incident_log, sleep=lambda _s: None
         )
@@ -364,9 +357,7 @@ class TestPhaseSupervisor:
 
     def test_attempts_shared_with_resilience_context(self):
         log = IncidentLog()
-        config = DetectorConfig(
-            chaos="crash:0.000001", retry_backoff=0.0, max_retries=1
-        )
+        config = DetectorConfig(chaos="crash:0.000001", max_retries=1)
         resilience = ResilienceContext.from_config(config, "post_exec")
         supervisor = PhaseSupervisor(
             "post_exec", config, log, resilience, sleep=lambda _s: None
@@ -386,7 +377,6 @@ class TestResilienceContext:
         resilience = ResilienceContext.from_config(config, "post_exec")
         deadline = resilience.new_deadline()
         assert deadline.max_seconds == 2.0
-        assert deadline.max_steps is None
 
     def test_guard_task_without_fork_has_no_watchdog(self):
         config = DetectorConfig(exec_deadline=2.0)

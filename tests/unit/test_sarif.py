@@ -2,8 +2,8 @@
 
 import json
 
-from repro.analysis import lint_workload
 from repro.analysis.findings import AnalysisReport, Finding
+from repro.analysis.lint import lint_workload
 from repro.analysis.sarif import (
     SARIF_VERSION,
     TOOL_NAME,

@@ -19,7 +19,12 @@ from repro.resilience.journal import (
     _digest_ip,
     read_journal_records,
 )
-from repro.resilience.supervisor import PhaseSupervisor
+from repro.resilience.supervisor import (
+    BACKOFF_CAP,
+    RETRY_BACKOFF,
+    RETRY_JITTER,
+    PhaseSupervisor,
+)
 from repro.service import JobStore, Reaper
 from repro.service.jobstore import JobRecord, ShardRecord, StateError
 from repro.service.shard import (
@@ -429,45 +434,26 @@ class TestRetryJitter:
         b = [jitter_unit(fid, 1, salt=2) for fid in range(20)]
         assert a != b
 
-    def _slept(self, generation, pending, **config_kwargs):
+    def _slept(self, generation, pending):
         from repro.resilience import IncidentLog
 
         delays = []
         supervisor = PhaseSupervisor(
-            "post_exec", DetectorConfig(**config_kwargs),
-            IncidentLog(), sleep=delays.append,
+            "post_exec", DetectorConfig(), IncidentLog(),
+            sleep=delays.append,
         )
         supervisor._backoff(generation, pending)
         return delays
 
     def test_backoff_applies_jitter(self):
-        pending = [(3, None, None)]
-        (plain,) = self._slept(
-            1, pending, retry_backoff=1.0, retry_jitter=0.0
-        )
-        (spread,) = self._slept(
-            1, pending, retry_backoff=1.0, retry_jitter=0.5
-        )
-        expected = plain * (1.0 + 0.5 * jitter_unit(3, 1, 0))
-        assert spread == pytest.approx(expected)
-        assert spread >= plain
-
-    def test_salted_supervisors_desynchronize(self):
-        pending = [(3, None, None)]
-        delays = {
-            salt: self._slept(
-                1, pending, retry_backoff=1.0, retry_jitter=0.5,
-                retry_jitter_salt=salt,
-            )[0]
-            for salt in (1, 2)
-        }
-        assert delays[1] != delays[2]
-
-    def test_zero_backoff_never_sleeps(self):
-        assert self._slept(
-            1, [(0, None, None)],
-            retry_backoff=0.0, retry_jitter=0.5,
-        ) == []
+        for generation in (1, 2, 7):
+            (delay,) = self._slept(generation, [(3, None, None)])
+            plain = min(
+                RETRY_BACKOFF * 2 ** (generation - 1), BACKOFF_CAP
+            )
+            expected = plain * (1.0 + RETRY_JITTER * jitter_unit(3, 1))
+            assert delay == pytest.approx(expected)
+            assert plain <= delay < plain * (1.0 + RETRY_JITTER)
 
 
 # ----------------------------------------------------------------------
