@@ -21,6 +21,11 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 
 
+#: What :meth:`RangeMap.value_over` returns for a window that does not
+#: carry one stored value throughout (it crosses an interval boundary).
+MIXED = object()
+
+
 class RangeMap:
     """Map half-open integer ranges to values.
 
@@ -124,17 +129,28 @@ class RangeMap:
         if cursor < end:
             yield cursor, end, default
 
-    def covers_range_with(self, start, end, value):
-        """True if a single stored interval covers all of ``[start,
-        end)`` with a value equal to ``value``.  O(log n); lets hot
-        callers skip a full :meth:`iter_with_gaps` walk when the whole
-        window is known-uniform."""
-        idx = bisect_right(self._starts, start) - 1
-        return (
-            idx >= 0
-            and end <= self._ends[idx]
-            and self._values[idx] == value
-        )
+    def value_over(self, start, end):
+        """The one value every byte of ``[start, end)`` carries: the
+        value of a stored interval that covers the whole window, or
+        the default when the window lies in a gap.  Returns
+        :data:`MIXED` when the window crosses an interval boundary (or
+        is empty).
+
+        One bisect and no generator: the backend probes each shadow
+        map with this before it pays for an :meth:`iter_with_gaps`
+        walk.
+        """
+        if start >= end:
+            return MIXED
+        starts = self._starts
+        idx = bisect_right(starts, start) - 1
+        if idx >= 0 and start < self._ends[idx]:
+            if end <= self._ends[idx]:
+                return self._values[idx]
+            return MIXED
+        if idx + 1 < len(starts) and starts[idx + 1] < end:
+            return MIXED
+        return self._default
 
     def first_match(self, start, end, predicate):
         """Return the first ``(start, end, value)`` in the window whose
@@ -158,12 +174,19 @@ class RangeMap:
         # replay re-applies the same per-byte state, e.g. repeated
         # epochs, writers, or persistence states).
         starts = self._starts
+        ends = self._ends
         idx = bisect_right(starts, start) - 1
-        if (
-            idx >= 0
-            and end <= self._ends[idx]
-            and self._values[idx] == value
-        ):
+        if idx >= 0 and start < ends[idx]:
+            if end <= ends[idx] and self._values[idx] == value:
+                return
+        elif idx + 1 == len(starts) or end <= starts[idx + 1]:
+            # Gap insert: the window overlaps no stored interval (every
+            # first-read mark is one), so there is nothing to carve.
+            idx += 1
+            starts.insert(idx, start)
+            ends.insert(idx, end)
+            self._values.insert(idx, value)
+            self._coalesce_around(idx)
             return
         self._carve(start, end)
         lo = bisect_left(self._starts, start)

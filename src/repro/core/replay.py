@@ -38,7 +38,7 @@ indexed by the integer kind code:
 from __future__ import annotations
 
 from repro._location import UNKNOWN_LOCATION, capture_location
-from repro._rangemap import RangeMap
+from repro._rangemap import MIXED, RangeMap
 from repro.core.report import Bug, BugKind
 from repro.core.shadow import (
     ConsistencyState,
@@ -51,6 +51,12 @@ from repro.pm.cacheline import FlushKind
 from repro.trace.events import KIND_BY_CODE, KIND_CODE, EventKind
 
 _CLFLUSH_INFO = FlushKind.CLFLUSH.value
+#: Persistence states a read of pre-failure data may see without a
+#: race (everything but modified and writeback-pending).
+_CLEAN_PERSISTENCE = (
+    PersistenceState.PERSISTED, PersistenceState.UNMODIFIED,
+)
+_CONSISTENT = ConsistencyState.CONSISTENT
 
 
 class _ThreadReplayState:
@@ -104,8 +110,19 @@ class TraceReplayer:
     ``collect_reads``: remember every LOAD range in ``read_ranges`` —
     the shadow read set a dedup decision digests.
 
-    Tallies (checked reads, bugs by kind, the RoI scope) reach
-    ``metrics`` once, in :meth:`finish`.
+    A first read that no commit variable overlaps is settled by a
+    *clean proof* when it can be: one ``RangeMap.value_over`` probe
+    each of ``post_written``, ``persistence``, ``consistency`` and
+    ``uninitialized`` shows that the whole window is post-written, or
+    that it is one clean pre-failure state throughout.  Only a window
+    the proof cannot settle walks the maps segment by segment (steps
+    2–7 of the module docstring), so every finding is the walk's.
+    ``tests/unit/read_ref.py`` keeps the walk-only replayer as the
+    oracle's read check.
+
+    Tallies (checked reads, first-read segments and the walks among
+    them, bugs by kind, the RoI scope) reach ``metrics`` once, in
+    :meth:`finish`.
     """
 
     def __init__(self, shadow, config, stage, report,
@@ -128,6 +145,10 @@ class TraceReplayer:
         self._lazy_ips = lazy_ips
         #: Post-failure reads checked (RoI-confined, first reads only).
         self.reads_checked = 0
+        #: First-read segments classified, and those the clean proof
+        #: could not settle (each walked the shadow maps).
+        self.read_segments = 0
+        self.read_walks = 0
         #: LOAD ranges seen, when collecting (``collect_reads``).
         self.read_ranges = set() if collect_reads else None
         self._is_pre = stage == "pre"
@@ -224,6 +245,10 @@ class TraceReplayer:
         )
         if self.reads_checked:
             metrics.inc("post_reads_checked", self.reads_checked)
+        if self.read_segments:
+            metrics.inc("post_read_segments", self.read_segments)
+        if self.read_walks:
+            metrics.inc("post_read_walks", self.read_walks)
         for bug in self.report.bugs:
             metrics.inc("bugs_reported_total")
             metrics.inc(f"bugs_reported.{bug.kind.name.lower()}")
@@ -364,6 +389,8 @@ class TraceReplayer:
             self.report.stats.benign_races = 0
             self._checked = RangeMap(False)
             self.reads_checked = 0
+            self.read_segments = 0
+            self.read_walks = 0
         self.roi_active = True
 
     def _op_roi_end(self, addr, size, info, ip, tid):
@@ -396,33 +423,66 @@ class TraceReplayer:
         start, end = addr, addr + size
         shadow = self.shadow
 
+        near_var = False
         if shadow.commit_vars:
-            benign_var = shadow.commit_var_covering(start, end)
-            if benign_var is not None and \
-                    benign_var.var_range.contains_range(
-                        AddressRange(start, size)
-                    ):
-                # Reading the commit variable itself: benign race.
-                self.report.stats.benign_races += 1
-                return
+            # The first commit variable the read overlaps decides: a
+            # read inside it is one benign race; any other overlap
+            # leaves the window to the walk (``near_var``).
+            for var in shadow.commit_vars.values():
+                var_start = var.var_range.start
+                var_end = var_start + var.var_range.size
+                if var_start < end and start < var_end:
+                    if var_start <= start and end <= var_end:
+                        # Reading the commit variable itself: benign
+                        # race.
+                        self.report.stats.benign_races += 1
+                        return
+                    near_var = True
+                    break
 
-        first_read_only = self._first_read_only
         checked = self._checked
-        if first_read_only and checked.covers_range_with(start, end, True):
+        already = checked.value_over(start, end)
+        if already is MIXED:
+            first_read_only = self._first_read_only
+            for seg_start, seg_end, seen in list(
+                checked.iter_with_gaps(start, end)
+            ):
+                if first_read_only and seen:
+                    continue
+                checked.set(seg_start, seg_end, True)
+                self._classify_segment(seg_start, seg_end, ip, near_var)
+            return
+        if already and self._first_read_only:
             # Every byte was classified on its first read already;
             # nothing to mark or re-check (recovery re-reads the same
             # words constantly, so this is the common case).
             return
-        for seg_start, seg_end, already in list(
-            checked.iter_with_gaps(start, end)
-        ):
-            if first_read_only and already:
-                continue
-            checked.set(seg_start, seg_end, True)
-            self._classify_segment(seg_start, seg_end, ip)
+        # Every byte was read before, or none was: one segment.
+        checked.set(start, end, True)
+        self._classify_segment(start, end, ip, near_var)
 
-    def _classify_segment(self, start, end, reader_ip):
+    def _classify_segment(self, start, end, reader_ip, near_var):
         shadow = self.shadow
+        self.read_segments += 1
+        if not near_var:
+            # The clean proof: one probe per shadow map.  Each return
+            # is taken only where the walk below would append no bug
+            # and count no benign race.  Persistence is probed first
+            # after ``post_written``: it is the probe dirty windows
+            # fail.
+            written = shadow.post_written.value_over(start, end)
+            if written is True:
+                return
+            if (
+                written is False
+                and shadow.persistence.value_over(start, end)
+                in _CLEAN_PERSISTENCE
+                and shadow.consistency.value_over(start, end)
+                is _CONSISTENT
+                and shadow.uninitialized.value_over(start, end) is False
+            ):
+                return
+        self.read_walks += 1
         have_vars = bool(shadow.commit_vars)
         for s, e, written in shadow.post_written.iter_with_gaps(
             start, end

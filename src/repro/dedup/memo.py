@@ -96,6 +96,13 @@ class ImageMemo:
         are valid until the next ``task_pools`` call on this memo.
         """
         changed = self._cursor.advance(fid)
+        # Mark what the cursor moved past before anything can raise:
+        # a task that fails below must not leave the next one a buffer
+        # that silently misses these ranges.
+        for name, ranges in changed.items():
+            stale = self._stale.get(name)
+            if stale is not None:
+                stale.extend(ranges)
         self.tasks_served += 1
         pools = []
         bit_offset = 0
@@ -109,7 +116,6 @@ class ImageMemo:
                 stale = self._stale[name] = []
             else:
                 stale = self._stale[name]
-                stale.extend(changed.get(name, ()))
                 self.bytes_restored += _restore(working, data, stale)
                 del stale[:]
             if mask is not None:

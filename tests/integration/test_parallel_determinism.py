@@ -99,11 +99,20 @@ class TestExecutorDeterminism:
         assert report_dict["bugs"], "fault should produce bugs"
 
     def test_transactional_workload(self):
-        self._compare(
+        _report, records = self._compare(
             lambda: HashmapTxWorkload(
                 faults={"skip_add_count"}, test_size=3
             ),
         )
+        # The read check's work counters ride the compared records:
+        # equal at every width, and the walks (segments the clean
+        # proof could not settle) are some of the segments.
+        counters = {
+            record["name"]: record["value"] for record in records
+            if record.get("metric") == "counter"
+        }
+        segments = counters["post_read_segments"]
+        assert 0 < counters["post_read_walks"] <= segments
 
     def test_crash_messages_cross_process_boundary(self):
         report_dict, _records = self._compare(

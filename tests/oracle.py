@@ -18,7 +18,9 @@ no crash plans, no journal and no executor.
   post-failure traces are kept.
 * Each post-failure replay starts from scratch: a new
   ``ReferenceShadowPM`` replays the pre-failure trace prefix up to the
-  failure point's marker, then the post-failure trace.
+  failure point's marker, then the post-failure trace, whose reads
+  take the plain segment walk (``ReferenceReadReplayer``), not the
+  production replayer's clean proof.
 * Bugs come out in marker order: pre-failure bugs found before a marker
   precede that failure point's post-failure bugs.
 
@@ -39,6 +41,7 @@ from repro.pm.pool import PMPool
 from repro.trace.events import KIND_CODE, EventKind
 from repro.trace.recorder import TraceRecorder
 
+from tests.unit.read_ref import ReferenceReadReplayer
 from tests.unit.shadow_ref import ReferenceShadowPM
 
 _FAILURE_POINT = KIND_CODE[EventKind.FAILURE_POINT]
@@ -186,7 +189,7 @@ def _replay_post(prefix, post_trace, fid, config, pre_has_roi, report):
     TraceReplayer(
         shadow, config, "pre", DetectionReport(), has_roi=pre_has_roi
     ).run_program(prefix)
-    TraceReplayer(
+    ReferenceReadReplayer(
         shadow, config, "post", report, failure_point=fid,
         has_roi=post_trace.has_roi,
     ).run_program(_instructions(post_trace))

@@ -211,6 +211,32 @@ class TestImageMemo:
         (image,) = store.materialize(0)
         assert pool.read(pool.base, pool.size) == image.data
 
+    def test_failed_restore_leaves_no_stale_image(self, monkeypatch):
+        """A task whose restore raises after the cursor advanced (as an
+        injected fault on a retried task does) must not leave the next
+        task a buffer that misses the ranges the cursor moved past."""
+        memory = _memory()
+        store = SnapshotStore()
+        memory.snapshot_delta(store)
+        memory.store(BASE + 128, b"B" * 16)
+        memory.snapshot_delta(store)
+        memory.store(BASE + 512, b"C" * 16)
+        memory.snapshot_delta(store)
+        memo = ImageMemo(store)
+        memo.task_pools(0, None)
+
+        def broken_deltas(fid):
+            raise OSError("injected image-access fault")
+
+        monkeypatch.setattr(store, "deltas", broken_deltas)
+        with pytest.raises(OSError):
+            memo.task_pools(1, None)
+        monkeypatch.undo()
+        (pool,) = memo.task_pools(2, None)
+        (image,) = store.materialize(2)
+        assert pool.read(BASE + 128, 16) == b"B" * 16
+        assert pool.read(pool.base, pool.size) == image.data
+
     def test_memo_matches_legacy_as_written_path(self):
         store = self._snapshots()
         memo = ImageMemo(store)

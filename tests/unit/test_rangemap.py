@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro._rangemap import RangeMap
+from repro._rangemap import MIXED, RangeMap
 
 
 class TestBasics:
@@ -73,6 +73,32 @@ class TestBasics:
         assert rmap.covers(5)
         assert rmap.covers(7)
         assert not rmap.covers(8)
+
+    def test_gap_insert_coalesces_with_both_neighbours(self):
+        rmap = RangeMap()
+        rmap.set(0, 10, "a")
+        rmap.set(20, 30, "a")
+        rmap.set(10, 20, "a")
+        assert list(rmap.iter_ranges()) == [(0, 30, "a")]
+        rmap.set(40, 50, "b")
+        rmap.set(35, 38, "a")
+        assert list(rmap.iter_ranges()) == [
+            (0, 30, "a"), (35, 38, "a"), (40, 50, "b"),
+        ]
+        rmap.check_invariants()
+
+    def test_value_over(self):
+        rmap = RangeMap(default="gap")
+        rmap.set(10, 20, "a")
+        rmap.set(20, 30, "b")
+        assert rmap.value_over(12, 18) == "a"
+        assert rmap.value_over(10, 20) == "a"
+        assert rmap.value_over(0, 10) == "gap"
+        assert rmap.value_over(30, 99) == "gap"
+        assert rmap.value_over(15, 25) is MIXED  # interval boundary
+        assert rmap.value_over(5, 15) is MIXED  # gap, then interval
+        assert rmap.value_over(25, 35) is MIXED  # interval, then gap
+        assert rmap.value_over(12, 12) is MIXED  # empty window
 
 
 class TestIteration:
@@ -165,9 +191,18 @@ _ops = st.lists(
 )
 
 
+_windows = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=260),
+        st.integers(min_value=0, max_value=70),
+    ),
+    max_size=12,
+)
+
+
 @settings(max_examples=200, deadline=None)
-@given(_ops)
-def test_rangemap_matches_dict_model(ops):
+@given(_ops, _windows)
+def test_rangemap_matches_dict_model(ops, windows):
     rmap = RangeMap(default=-1)
     model = {}
     for op, start, length, value in ops:
@@ -183,6 +218,16 @@ def test_rangemap_matches_dict_model(ops):
         rmap.check_invariants()
     for address in range(0, 261):
         assert rmap.get(address) == model.get(address, -1)
+    # Stored values never equal the default, and equal neighbours
+    # coalesce, so a window carries one value exactly when it lies in
+    # one interval or one gap.
+    for start, length in windows:
+        values = {
+            model.get(address, -1)
+            for address in range(start, start + length)
+        }
+        expected = values.pop() if len(values) == 1 else MIXED
+        assert rmap.value_over(start, start + length) == expected
 
 
 @settings(max_examples=100, deadline=None)

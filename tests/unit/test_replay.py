@@ -1,6 +1,10 @@
 """Tests for the backend replayer's read classification and performance
 checks."""
 
+import random
+
+import pytest
+
 from repro._location import SourceLocation
 from repro.core.config import DetectorConfig
 from repro.core.replay import TraceReplayer
@@ -11,6 +15,7 @@ from repro.pm.memory import PersistentMemory
 from repro.pm.pool import PMPool
 from repro.trace.events import KIND_CODE, EventKind
 from repro.trace.recorder import NullRecorder, TraceRecorder
+from tests.unit.read_ref import ReferenceReadReplayer
 
 W = SourceLocation("writer.py", 1, "w")
 R = SourceLocation("reader.py", 2, "r")
@@ -380,3 +385,193 @@ class TestLiveStream:
         feed(post, ev(rec, EventKind.LIB_END, info="lib"))
         feed(post, ev(rec, EventKind.LOAD, 0x1000, 8, ip=R))
         assert post.read_ranges == {(0x2000, 0x2004), (0x1000, 0x1008)}
+
+
+# ----------------------------------------------------------------------
+# Differential test: the clean proof against the frozen segment walk.
+# ----------------------------------------------------------------------
+
+BASE = 0x10000
+SPAN = 16 * 64
+_IPS = [SourceLocation("wl.py", n, "op") for n in range(1, 5)]
+
+
+def _ins(kind, addr=0, size=0, info="", ip=None, tid=0):
+    return (KIND_CODE[kind], addr, size, info, ip, tid)
+
+
+def _window(rng, max_size):
+    size = rng.randint(1, max_size)
+    return BASE + rng.randrange(SPAN - size + 1), size
+
+
+def _line(rng):
+    return BASE + 64 * rng.randrange(SPAN // 64)
+
+
+def _random_pre(rng, commit_vars):
+    """Random pre-failure instructions: stores, writebacks, fences,
+    transactions, allocations and commit variables (``commit_vars``
+    collects each registered name's address)."""
+    program = []
+    for _ in range(rng.randint(20, 70)):
+        roll = rng.random()
+        if roll < 0.3:
+            addr, size = _window(rng, 32)
+            kind = EventKind.STORE if rng.random() < 0.8 \
+                else EventKind.NT_STORE
+            program.append(_ins(kind, addr, size, ip=rng.choice(_IPS)))
+        elif roll < 0.45:
+            program.append(_ins(
+                EventKind.FLUSH, _line(rng), 64,
+                rng.choice(["CLWB", "CLFLUSH"]),
+            ))
+        elif roll < 0.55:
+            program.append(_ins(EventKind.FENCE, info="SFENCE"))
+        elif roll < 0.65:
+            addr, size = _window(rng, 16)
+            program += [
+                _ins(EventKind.TX_BEGIN, info="1"),
+                _ins(EventKind.TX_ADD, addr, size, "1", ip=_IPS[0]),
+                _ins(EventKind.STORE, addr, size, ip=_IPS[1]),
+            ]
+            store, _ = _window(rng, 8)
+            program.append(_ins(EventKind.STORE, store, 8, ip=_IPS[2]))
+            program.append(_ins(rng.choice(
+                [EventKind.TX_COMMIT, EventKind.TX_ABORT]
+            ), info="1"))
+        elif roll < 0.75:
+            addr, size = _window(rng, 96)
+            program.append(_ins(
+                EventKind.ALLOC, addr, size,
+                rng.choice(["zeroed", ""]),
+            ))
+        elif roll < 0.8:
+            addr, size = _window(rng, 64)
+            program.append(_ins(EventKind.FREE, addr, size))
+        elif roll < 0.85 or not commit_vars:
+            name = f"v{rng.randrange(3)}"
+            addr, _ = _window(rng, 8)
+            commit_vars[name] = addr
+            program.append(_ins(EventKind.COMMIT_VAR, addr, 8, name))
+        elif roll < 0.9:
+            addr, size = _window(rng, 64)
+            program.append(_ins(
+                EventKind.COMMIT_RANGE, addr, size,
+                rng.choice(sorted(commit_vars)),
+            ))
+        else:
+            # A commit write.
+            addr = commit_vars[rng.choice(sorted(commit_vars))]
+            program.append(_ins(EventKind.STORE, addr, 8, ip=_IPS[3]))
+    return program
+
+
+def _random_post(rng, commit_vars):
+    """Random post-failure instructions, mostly loads of 1-128 bytes,
+    with post stores, allocations, ``TX_ADD``s, commit-variable
+    registration, library and skip regions and a late ``ROI_BEGIN``."""
+    program = []
+    lib = skip = 0
+    for _ in range(rng.randint(40, 160)):
+        roll = rng.random()
+        if roll < 0.6:
+            addr, size = _window(rng, rng.choice([8, 128]))
+            program.append(_ins(EventKind.LOAD, addr, size, ip=R))
+        elif roll < 0.68:
+            addr, size = _window(rng, 16)
+            program.append(_ins(EventKind.STORE, addr, size, ip=W))
+        elif roll < 0.72:
+            addr, size = _window(rng, 64)
+            program.append(_ins(
+                EventKind.ALLOC, addr, size, rng.choice(["zeroed", ""])
+            ))
+        elif roll < 0.75:
+            addr, size = _window(rng, 32)
+            program.append(_ins(EventKind.FREE, addr, size))
+        elif roll < 0.78:
+            addr, size = _window(rng, 16)
+            program += [
+                _ins(EventKind.TX_BEGIN, info="2"),
+                _ins(EventKind.TX_ADD, addr, size, "2", ip=W),
+                _ins(EventKind.TX_COMMIT, info="2"),
+            ]
+        elif roll < 0.8:
+            name = f"p{rng.randrange(2)}"
+            addr, _ = _window(rng, 8)
+            commit_vars[name] = addr
+            program.append(_ins(EventKind.COMMIT_VAR, addr, 8, name))
+        elif roll < 0.82:
+            addr, size = _window(rng, 32)
+            program.append(_ins(
+                EventKind.COMMIT_RANGE, addr, size,
+                rng.choice(sorted(commit_vars)),
+            ))
+        elif roll < 0.87:
+            if lib and rng.random() < 0.6:
+                lib -= 1
+                program.append(_ins(EventKind.LIB_END, info="lib"))
+            else:
+                lib += 1
+                program.append(_ins(EventKind.LIB_BEGIN, info="lib"))
+        elif roll < 0.9:
+            if skip:
+                skip -= 1
+                program.append(_ins(EventKind.SKIP_DET_END))
+            else:
+                skip += 1
+                program.append(_ins(EventKind.SKIP_DET_BEGIN))
+        elif roll < 0.93:
+            program.append(_ins(rng.choice(
+                [EventKind.ROI_BEGIN, EventKind.ROI_END]
+            )))
+        else:
+            program.append(_ins(EventKind.FLUSH, _line(rng), 64, "CLWB"))
+            program.append(_ins(EventKind.FENCE, info="SFENCE"))
+    return program
+
+
+class TestCleanProofDifferential:
+    """Random pre-failure state, then the same random post-failure
+    operations through ``TraceReplayer`` (one probe per shadow map,
+    the walk only where a byte could report) and through
+    ``ReferenceReadReplayer`` (the segment walk on every first read)."""
+
+    SEEDS = range(100)
+
+    @pytest.mark.parametrize("first_read_only", [True, False])
+    def test_matches_reference_walk(self, first_read_only):
+        config = DetectorConfig(first_read_only=first_read_only)
+        segments = walks = bugs = benign = 0
+        for seed in self.SEEDS:
+            rng = random.Random(seed)
+            commit_vars = {}
+            shadow = ShadowPM()
+            TraceReplayer(
+                shadow, config, "pre", DetectionReport("pre")
+            ).run_program(_random_pre(rng, commit_vars))
+            post = _random_post(rng, commit_vars)
+            fast = TraceReplayer(
+                shadow.fork_for_replay(), config, "post",
+                DetectionReport("fast"), failure_point=0, has_roi=None,
+            )
+            ref = ReferenceReadReplayer(
+                shadow.fork_for_replay(), config, "post",
+                DetectionReport("ref"), failure_point=0, has_roi=None,
+            )
+            fast.run_program(post)
+            ref.run_program(post)
+            assert fast.report.bugs == ref.report.bugs, f"seed {seed}"
+            assert fast.report.stats.benign_races == \
+                ref.report.stats.benign_races, f"seed {seed}"
+            assert fast.reads_checked == ref.reads_checked
+            assert list(fast._checked.iter_ranges()) == \
+                list(ref._checked.iter_ranges()), f"seed {seed}"
+            assert fast.read_walks <= fast.read_segments
+            segments += fast.read_segments
+            walks += fast.read_walks
+            bugs += len(fast.report.bugs)
+            benign += fast.report.stats.benign_races
+        # Both paths and every outcome are exercised.
+        assert 0 < walks < segments
+        assert bugs and benign
