@@ -152,15 +152,6 @@ class RangeMap:
             return MIXED
         return self._default
 
-    def first_match(self, start, end, predicate):
-        """Return the first ``(start, end, value)`` in the window whose
-        value satisfies ``predicate``, or None.  Gaps are tested against
-        the default value."""
-        for s, e, v in self.iter_with_gaps(start, end):
-            if predicate(v):
-                return s, e, v
-        return None
-
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------

@@ -39,6 +39,16 @@ class PreReplay:
     seconds: float = 0.0
 
 
+def _markers(program):
+    """``(index, fid)`` of each FAILURE_POINT marker in a replay
+    program, in order."""
+    return [
+        (index, int(instr[3]))
+        for index, instr in enumerate(program)
+        if instr[0] == _FP_CODE
+    ]
+
+
 def replay_pre_trace(config, telemetry, pre_recorder, live_fids):
     """Replay the pre-failure trace once, checkpointing the shadow at
     each marker in ``live_fids``.
@@ -68,15 +78,10 @@ def replay_pre_trace(config, telemetry, pre_recorder, live_fids):
     pre = PreReplay(shell.bugs, {})
     with tel.span("pre_replay") as span:
         program = lower_trace(pre_recorder)
-        markers = [
-            index for index, instr in enumerate(program)
-            if instr[0] == _FP_CODE
-        ]
         start = 0
-        for index in markers:
+        for index, fid in _markers(program):
             replayer.run_program(program[start:index])
             start = index
-            fid = int(program[index][3])
             pre.bug_offsets[fid] = len(shell.bugs)
             if audit_log is not None:
                 pre.audit_offsets[fid] = len(audit_log.records)
@@ -88,6 +93,51 @@ def replay_pre_trace(config, telemetry, pre_recorder, live_fids):
         pre.audit_records = audit_log.records
     pre.seconds = span.duration
     return pre
+
+
+class ShadowCursor:
+    """A warm worker's rolling shadow over the pre-failure trace.
+
+    :meth:`fork` replays the trace forward to a failure point's marker
+    and forks the live shadow there.  The program prefix and the
+    replayer are the ones :func:`replay_pre_trace` runs, so each fork
+    equals the checkpoint the parent captured at that marker, without
+    the checkpoint crossing the pipe.  Forks in fid order cost one
+    replay of the trace in all; a fid behind the cursor (a retry or
+    fallback wave) restarts it from an empty shadow.
+
+    The replayer has a private report and transition counter, no
+    metrics and no audit hook: the parent's replay already reported,
+    counted and audited the pre-failure trace.
+    """
+
+    def __init__(self, config, recorder):
+        self._config = config
+        self._has_roi = recorder.has_roi
+        self._program = lower_trace(recorder)
+        #: fid -> index of its FAILURE_POINT marker in the program.
+        self._markers = {
+            fid: index for index, fid in _markers(self._program)
+        }
+        self._restart()
+
+    def _restart(self):
+        self._shadow = ShadowPM(platform=self._config.platform)
+        self._replayer = TraceReplayer(
+            self._shadow, self._config, "pre", DetectionReport(),
+            has_roi=self._has_roi,
+        )
+        self._position = 0
+
+    def fork(self, fid, transition_counter=None):
+        """A fork of the shadow as it stands at ``fid``'s marker,
+        counting its transitions into ``transition_counter``."""
+        index = self._markers[fid]
+        if index < self._position:
+            self._restart()
+        self._replayer.run_program(self._program[self._position:index])
+        self._position = index
+        return self._shadow.fork_for_replay(transition_counter)
 
 
 class XFDetector:
@@ -293,8 +343,11 @@ def _emit_finding(telemetry, bug):
 
     Payload is restricted to deterministic content (kind, failure
     point, detail, source locations) so the event stream's normalized
-    projection is identical at any pool width.
+    projection is identical at any pool width.  Without a bus nothing
+    is formatted: a finding-heavy run renders thousands of locations.
     """
+    if telemetry.bus is None:
+        return
     telemetry.emit(
         "finding",
         bug_kind=bug.kind.name,

@@ -307,7 +307,7 @@ class Frontend:
         post_runs, post_seconds, deduped, dedup_classes = \
             self._post_stage(
                 workload, injector, uses_roi, plan, journaled,
-                pre_replay.checkpoints,
+                pre_replay.checkpoints, pre_recorder,
             )
         tel.metrics.gauge("pre_trace_events").set(len(pre_recorder))
 
@@ -410,7 +410,7 @@ class Frontend:
         return keys
 
     def _post_stage(self, workload, injector, uses_roi, plan, journaled,
-                    checkpoints):
+                    checkpoints, pre_recorder):
         """Run every planned post-failure task on an executor.
 
         Each task restores its crash image, forks its failure point's
@@ -465,7 +465,7 @@ class Frontend:
             ctx = PostPhaseContext(
                 strip_config(self.config), workload, injector.store,
                 uses_roi, resilience, checkpoints, tel.audit is not None,
-                shared_reps,
+                shared_reps, pre_recorder,
             )
             supervisor = PhaseSupervisor(
                 "post_exec", self.config, self.incident_log,

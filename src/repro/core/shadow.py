@@ -164,9 +164,9 @@ class ShadowPM:
 
     def copy(self):
         """A deep copy of the shadow state, without the audit hook:
-        checkpoints are pickled per batch to warm workers, and a hook
-        would drag the run's whole audit log along.  An audited replay
-        task attaches its own task-local log to its fork."""
+        a checkpoint must not drag the run's whole audit log along
+        into every fork.  An audited replay task attaches its own
+        task-local log to its fork."""
         dup = ShadowPM.__new__(ShadowPM)
         dup.platform = self.platform
         dup.audit = None
@@ -705,9 +705,9 @@ class ShadowCheckpointCache:
 
     The pre-failure replay captures one at every marker that has a
     live post-failure task, before any task is dispatched; each task
-    then runs against a fork of its marker's checkpoint.  Dict-like on
-    purpose: task bodies index it exactly like the ``{fid: ShadowPM}``
-    dict a warm worker receives per batch.
+    then runs against a fork of its marker's checkpoint.  Checkpoints
+    stay in the parent: a warm worker forks the same states from its
+    own ``repro.core.detector.ShadowCursor``.
     """
 
     def __init__(self):

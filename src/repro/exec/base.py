@@ -24,7 +24,9 @@ class TaskOutcome:
 
     def __init__(self, value, queue_wait=0.0, worker="main", error=None):
         self.value = value
-        #: Seconds between submission and a worker picking the task up.
+        #: Seconds between submission and a worker picking the task
+        #: up (in the warm pool, from its batch's dispatch: a queued
+        #: batch's wait includes the batch running ahead of it).
         self.queue_wait = queue_wait
         #: Label of the worker that ran the task: ``"main"`` inline,
         #: ``pid-N`` in the warm pool.

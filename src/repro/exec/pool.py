@@ -2,20 +2,26 @@
 
 Workers are forked once per run and kept alive across phases.  They
 fork *before* any phase context exists, so contexts reach them
-explicitly: a small pickled blob in which the snapshot store has been
+explicitly: a pickled blob in which the snapshot store has been
 replaced by a :class:`~repro.exec.shm.ShmStoreView` (workers attach
-the shared segment zero-copy) and shadow checkpoints travel per batch.
-Each worker keeps its attached store — and with it one long-lived
-``repro.dedup.ImageMemo`` — for the whole run.
+the shared segment zero-copy), and which carries the pre-failure trace
+instead of shadow checkpoints: each worker replays it into its own
+(``PostPhaseContext.fork``).  Each worker keeps its attached store —
+and with it one long-lived ``repro.dedup.ImageMemo`` — for the whole
+run.
 
 Dispatch is *batched*: keys are grouped by
-:func:`~repro.exec.base.plan_batches` and each batch is one pipe
-message, so per-task scheduling overhead amortizes and a worker's
-replay-prefix memo cursor advances monotonically across the whole
-batch.  Results are collected in key order, so downstream merging is
+:func:`~repro.exec.base.plan_batches` and each batch is one small
+pipe message of keys, attempt counts and a timestamp, so per-task
+scheduling overhead amortizes and a worker's image and shadow cursors
+advance monotonically across the whole batch.  Each worker holds up
+to two batches, so it never idles waiting for the parent to read a
+result.  Results are collected in key order, so downstream merging is
 deterministic.  Queue-wait is measured with ``time.monotonic``
-(system-wide on Linux, so it is comparable across a fork) and surfaced
-per task through :class:`~repro.exec.base.TaskOutcome`.
+(system-wide on Linux, so it is comparable across a fork) from a
+batch's dispatch to each task's start, so it includes the time a
+queued batch waits behind the running one; it is surfaced per task
+through :class:`~repro.exec.base.TaskOutcome`.
 
 A phase whose context or task function will not pickle runs inline on
 the serial schedule instead (the ``exec.warm_fallbacks`` counter).
@@ -34,22 +40,32 @@ from repro.errors import HarnessError
 from repro.exec.base import SerialExecutor, TaskOutcome, plan_batches
 
 
+#: Batches one worker holds at once: the one it runs and one queued
+#: behind it, so it starts the next without waiting a round trip for
+#: the parent to read its result.
+_MAX_IN_FLIGHT = 2
+
+
 class _WarmWorker:
     """Parent-side handle on one persistent worker process."""
 
-    __slots__ = ("conn", "process", "progress", "generation", "batches")
+    __slots__ = ("conn", "process", "progress", "generation", "batches",
+                 "keys_done")
 
     def __init__(self, conn, process, progress):
         self.conn = conn
         self.process = process
-        #: Shared cell the worker sets to the in-batch position of the
-        #: key it is about to run, so a death is charged to that key.
+        #: Shared cell counting the keys the worker has started over
+        #: its life, so a death is charged to the last one.
         self.progress = progress
         #: The context generation last shipped to this worker; stale
         #: workers get a fresh ``("ctx", ...)`` before their next batch.
         self.generation = -1
         #: Batches completed — ≥ 2 means the spawn cost amortized.
         self.batches = 0
+        #: Keys of the completed batches: the position in ``progress``
+        #: where the oldest batch still in flight starts.
+        self.keys_done = 0
 
     @property
     def label(self):
@@ -70,17 +86,23 @@ class WarmProcessExecutor:
 
     Workers are spawned once (ideally via :meth:`prewarm`, before the
     pre-failure stage grows the parent) and survive across phases,
-    retry waves, and dedup fallback waves.  Dispatch discipline:
-    a batch is only sent to an *idle* worker — one whose previous
-    result has been received — so the worker is guaranteed to be in
-    its receive loop and pipe writes cannot deadlock.
+    retry waves, and dedup fallback waves.  Dispatch discipline: each
+    worker holds up to two batches, the one it runs and one queued in
+    its pipe, so it starts the next without waiting for the parent to
+    read its result.  A batch message is keys, attempt counts and a
+    timestamp, a few hundred bytes, so a write to a busy worker always
+    fits in the pipe and cannot deadlock.  The phase context blob goes
+    only to a worker with nothing in flight, which is sitting in its
+    receive loop.
 
-    A worker death is charged to the one key it was running: that key
-    gets a ``BrokenExecutor`` outcome (transient, retried by the
-    supervisor on a fresh attempt), while its batchmates — including
-    the ones it finished but could not ship — are requeued in the same
-    phase without being charged.  Dead workers are replaced before the
-    next dispatch, so a phase always drains.
+    A worker death is charged to the one key it was running: the last
+    key it started, in its oldest batch still in flight, after any
+    results it shipped before dying are read.  That key gets a
+    ``BrokenExecutor`` outcome (transient, retried by the supervisor
+    on a fresh attempt), while its batchmates — including the ones it
+    finished but could not ship — and every batch queued behind it are
+    requeued in the same phase without being charged.  Dead workers
+    are replaced before the next dispatch, so a phase always drains.
     """
 
     kind = "process"
@@ -143,7 +165,7 @@ class WarmProcessExecutor:
         # segments the parent still serves when the worker exits.
         resource_tracker.ensure_running()
         parent_conn, child_conn = self._mp.Pipe(duplex=True)
-        progress = self._mp.RawValue("i", 0)
+        progress = self._mp.RawValue("q", 0)
         process = self._mp.Process(
             target=warm_worker_main,
             args=(child_conn, progress),
@@ -207,7 +229,6 @@ class WarmProcessExecutor:
         self._gauge(
             "exec.batch_size_effective", len(keys) / len(batches)
         )
-        payloads = getattr(context, "batch_payload", None)
         attempts = getattr(
             getattr(context, "resilience", None), "attempts", None
         )
@@ -219,71 +240,74 @@ class WarmProcessExecutor:
             pending.append(list(range(start, start + len(batch))))
             start += len(batch)
         results = [None] * len(keys)  # position -> TaskOutcome
-        busy = {}  # worker -> positions in flight
-        while pending or busy:
-            # Replace dead workers, then dispatch to idle ones only: a
-            # worker whose previous result was received is guaranteed
-            # to be blocked in its receive loop, so pipe writes cannot
-            # deadlock.
-            self._top_up(min(self.jobs, len(busy) + len(pending)))
+        # worker -> deque of the position lists it holds, oldest first.
+        inflight = {}
+        while pending or inflight:
+            # Replace dead workers, then fill every free slot.
+            self._top_up(min(self.jobs, len(inflight) + len(pending)))
+            self._dispatch(pending, inflight, keys, results, blob,
+                           attempts)
+            if inflight:
+                self._reap(inflight, keys, results, pending)
+        return results
+
+    def _dispatch(self, pending, inflight, keys, results, blob,
+                  attempts):
+        """Send pending batches until every live worker holds
+        ``_MAX_IN_FLIGHT``, breadth-first: no worker gets a second
+        batch while another has none."""
+        for depth in range(_MAX_IN_FLIGHT):
             for worker in list(self._workers):
                 if not pending:
-                    break
-                if worker in busy:
+                    return
+                queue = inflight.get(worker)
+                held = len(queue) if queue else 0
+                if held > depth:
                     continue
                 if not worker.process.is_alive():
-                    self._discard(worker)  # replaced on the next pass
-                    continue
+                    if not held:
+                        self._discard(worker)  # replaced next pass
+                    continue  # else its sentinel reports the death
+                if held and worker.generation != self._generation:
+                    continue  # the context blob needs an idle worker
                 positions = pending.popleft()
+                if queue is None:
+                    queue = inflight[worker] = collections.deque()
+                queue.append(positions)
                 try:
                     error = self._send_batch(
                         worker, [keys[p] for p in positions], blob,
-                        payloads, attempts,
+                        attempts,
                     )
                 except OSError:
-                    self._charge_death(worker, positions, results,
-                                       pending)
+                    self._bury(worker, inflight, keys, results, pending)
                     continue
-                if error is None:
-                    busy[worker] = positions
-                else:
+                if error is not None:
+                    queue.pop()
+                    if not queue:
+                        del inflight[worker]
                     for position in positions:
                         results[position] = TaskOutcome(None, error=error)
-            if busy:
-                self._reap(busy, keys, results, pending)
-        return results
 
-    def _send_batch(self, worker, batch, blob, payloads, attempts):
+    def _send_batch(self, worker, batch, blob, attempts):
         """Ship context (if stale) then the batch.  Returns None once
         sent, or the :class:`HarnessError` every key of a batch that
-        cannot be built or pickled fails with; raises ``OSError`` when
-        the worker is dead."""
-        payload = None
-        if payloads is not None:
-            try:
-                payload = payloads(batch)
-            except Exception as exc:
-                return HarnessError(
-                    f"batch payload failed: "
-                    f"{type(exc).__name__}: {exc}",
-                    phase="exec",
-                )
+        cannot be pickled fails with; raises ``OSError`` when the
+        worker is dead."""
         batch_attempts = None
         if attempts is not None:
             batch_attempts = {
                 key: attempts[key] for key in batch if key in attempts
             }
-        worker.progress.value = 0
         try:
             if worker.generation != self._generation:
                 worker.conn.send(("ctx", self._generation, blob))
                 worker.generation = self._generation
             worker.conn.send(
-                ("batch", batch, payload, batch_attempts,
-                 time.monotonic())
+                ("batch", batch, batch_attempts, time.monotonic())
             )
         except _SEND_FAULTS as exc:
-            # The pipe is intact — the payload would not pickle.
+            # The pipe is intact — the batch would not pickle.
             return HarnessError(
                 f"batch would not serialize: "
                 f"{type(exc).__name__}: {exc}",
@@ -291,59 +315,81 @@ class WarmProcessExecutor:
             )
         return None
 
-    def _reap(self, busy, keys, results, pending):
+    def _reap(self, inflight, keys, results, pending):
         """Wait for one completion (or a death) and record it."""
-        conns = {worker.conn: worker for worker in busy}
+        conns = {worker.conn: worker for worker in inflight}
         sentinels = {
-            worker.process.sentinel: worker for worker in busy
+            worker.process.sentinel: worker for worker in inflight
         }
         ready = multiprocessing.connection.wait(
             list(conns) + list(sentinels), timeout=1.0
         )
         for item in ready:
             worker = conns.get(item) or sentinels.get(item)
-            if worker is None or worker not in busy:
+            if worker is None or worker not in inflight:
                 continue  # already handled via its other handle
-            positions = busy.pop(worker)
+            if item is worker.conn:
+                try:
+                    message = worker.conn.recv()
+                except (EOFError, OSError):
+                    message = None
+                if message is not None:
+                    self._record(worker, inflight, message, keys,
+                                 results)
+                    continue
+            self._bury(worker, inflight, keys, results, pending)
+
+    def _record(self, worker, inflight, message, keys, results):
+        """File ``message`` as the result of ``worker``'s oldest batch
+        in flight."""
+        queue = inflight[worker]
+        positions = queue.popleft()
+        if not queue:
+            del inflight[worker]
+        worker.keys_done += len(positions)
+        batch = [keys[position] for position in positions]
+        for position, outcome in zip(
+            positions, self._unpack(message, batch, worker)
+        ):
+            results[position] = outcome
+        worker.batches += 1
+        if worker.batches > 1:
+            self._metric_inc("exec.worker_reuse_count")
+
+    def _bury(self, worker, inflight, keys, results, pending):
+        """``worker`` died.  Record the results it shipped first, then
+        charge the key it was running — the last one it started, in
+        its oldest batch still in flight — and requeue the rest of
+        that batch and every batch queued behind it, uncharged, at the
+        head of the queue."""
+        while worker in inflight:
             try:
                 # A worker that exited right after sending still has
-                # its completed result sitting in the pipe.
-                message = (
-                    worker.conn.recv()
-                    if item is worker.conn or worker.conn.poll(0)
-                    else None
-                )
+                # its completed results sitting in the pipe.
+                if not worker.conn.poll(0):
+                    break
+                message = worker.conn.recv()
             except (EOFError, OSError):
-                message = None
-            if message is None:
-                self._charge_death(worker, positions, results, pending)
-                continue
-            batch = [keys[position] for position in positions]
-            for position, outcome in zip(
-                positions, self._unpack(message, batch, worker)
-            ):
-                results[position] = outcome
-            worker.batches += 1
-            if worker.batches > 1:
-                self._metric_inc("exec.worker_reuse_count")
-            if item is not worker.conn:
-                self._discard(worker)
-
-    def _charge_death(self, worker, positions, results, pending):
-        """A worker died holding ``positions``: charge the key it was
-        running, requeue the rest uncharged at the head of the queue."""
-        running = min(max(worker.progress.value, 0), len(positions) - 1)
+                break
+            self._record(worker, inflight, message, keys, results)
+        queue = inflight.pop(worker, None)
         self._discard(worker)
-        results[positions[running]] = TaskOutcome(
+        if not queue:
+            return
+        oldest = queue.popleft()
+        running = worker.progress.value - worker.keys_done - 1
+        running = min(max(running, 0), len(oldest) - 1)
+        results[oldest[running]] = TaskOutcome(
             None,
             error=concurrent.futures.BrokenExecutor(
                 f"warm worker {worker.label} died mid-batch "
                 f"(exitcode {worker.process.exitcode})"
             ),
         )
-        rest = positions[:running] + positions[running + 1:]
-        if rest:
-            pending.appendleft(rest)
+        queue.appendleft(oldest[:running] + oldest[running + 1:])
+        for positions in reversed(queue):
+            if positions:
+                pending.appendleft(positions)
 
     def _unpack(self, message, batch, worker):
         """A worker's ``("done", shipped, stats)`` message as

@@ -3,12 +3,15 @@
 A *phase context* bundles everything every task of one phase reads and
 nothing it writes: the (telemetry-stripped) config, the workload, the
 delta snapshot store, shadow checkpoints.  The serial executor passes
-it to each task by reference; the warm pool ships it to its workers
-once per phase as a pickled blob, with the snapshot store swapped for
-a shared-memory view (``export_for_workers``) and the checkpoints
-travelling per batch (``batch_payload``).  Outcomes are built from
-plain data (bug records, counts, repr strings, a local metrics
-registry) so the parent can merge them deterministically in key order.
+it to each task by reference.  The warm pool ships it to its workers
+once per phase as a pickled blob (``export_for_workers``): the
+snapshot store becomes a shared-memory view, and the checkpoints stay
+in the parent.  The blob carries the pre-failure trace instead, and
+each worker replays it forward to every task's marker (a
+``ShadowCursor``), so a batch message is only keys.  Outcomes are
+built from plain data (bug records, counts, repr strings, a local
+metrics registry) so the parent can merge them deterministically in
+key order.
 
 The task bodies import :mod:`repro.core.frontend` lazily: the frontend
 itself imports this package, and the cycle resolves only at call time.
@@ -69,13 +72,15 @@ def _is_harness_fault(exc):
 
 
 class PostPhaseContext:
-    """Read-only inputs of the post-failure phase."""
+    """Read-only inputs of the post-failure phase, plus a warm
+    worker's shadow cursor (:meth:`fork`)."""
 
     __slots__ = ("config", "workload", "store", "uses_roi",
-                 "resilience", "checkpoints", "audit", "read_keys")
+                 "resilience", "checkpoints", "audit", "read_keys",
+                 "pre_trace", "_cursor")
 
     def __init__(self, config, workload, store, uses_roi, resilience,
-                 checkpoints, audit, read_keys):
+                 checkpoints, audit, read_keys, pre_trace):
         self.config = config
         self.workload = workload
         #: The pre-failure run's ``SnapshotStore``; each worker's
@@ -86,7 +91,8 @@ class PostPhaseContext:
         #: counts), or None when every resilience knob is off.
         self.resilience = resilience
         #: fid -> ShadowPM checkpoint captured at that FAILURE_POINT
-        #: marker during the single pre-failure replay.
+        #: marker during the single pre-failure replay; None in a warm
+        #: worker, which rolls its own (:meth:`fork`).
         self.checkpoints = checkpoints
         #: Record each task's shadow transitions into a task-local
         #: audit log shipped back in the outcome.
@@ -94,31 +100,36 @@ class PostPhaseContext:
         #: Task keys whose outcome must carry the run's LOAD ranges:
         #: dedup representatives whose class has another live member.
         self.read_keys = read_keys
+        #: The pre-failure ``TraceRecorder`` a warm worker replays.
+        self.pre_trace = pre_trace
+        self._cursor = None
 
     def export_for_workers(self, plane):
         """The warm-pool shipping form: the snapshot store swapped for
-        a shared-memory view (workers attach zero-copy) and the
-        checkpoints stripped — they travel per batch."""
+        a shared-memory view (workers attach zero-copy), and the
+        checkpoints left behind — a worker replays the pre-failure
+        trace into its own (:meth:`fork`)."""
         return PostPhaseContext(
             self.config, self.workload, plane.publish(self.store),
-            self.uses_roi, self.resilience, {}, self.audit,
-            self.read_keys,
+            self.uses_roi, self.resilience, None, self.audit,
+            self.read_keys, self.pre_trace,
         )
 
-    def batch_payload(self, keys):
-        """The shadow checkpoints one batch's keys run against."""
-        return {
-            fid: self.checkpoints[fid]
-            for fid in sorted({key[0] for key in keys})
-        }
+    def fork(self, fid, transition_counter):
+        """The shadow a task at ``fid`` checks against: a fork of the
+        parent's checkpoint in-process; in a warm worker, a fork taken
+        at ``fid``'s marker by this context's
+        :class:`~repro.core.detector.ShadowCursor`, which lives as long
+        as the worker keeps the context."""
+        if self.checkpoints is not None:
+            return self.checkpoints[fid].fork_for_replay(
+                transition_counter
+            )
+        if self._cursor is None:
+            from repro.core.detector import ShadowCursor
 
-    def install_payload(self, payload):
-        self.checkpoints.update(payload)
-
-    def clear_payload(self):
-        """Drop per-batch state so a long-lived worker's memory stays
-        bounded by one batch, not the whole run."""
-        self.checkpoints.clear()
+            self._cursor = ShadowCursor(self.config, self.pre_trace)
+        return self._cursor.fork(fid, transition_counter)
 
 
 class PostTaskOutcome:
@@ -184,6 +195,12 @@ def run_post_task(ctx, key):
 
     fid, variant, mask = key
     config = ctx.config
+    metrics = MetricsRegistry()
+    # Fork before the task's deadline is armed: in a warm worker the
+    # fork may replay the pre-failure trace, which is the worker's
+    # setup, not the run's, and must not make a deadline trip at
+    # --jobs 2 that holds at --jobs 1.
+    shadow = ctx.fork(fid, metrics.counter("shadow_transitions_total"))
     resilience = ctx.resilience
     deadline = watchdog = None
     if resilience is not None:
@@ -197,7 +214,6 @@ def run_post_task(ctx, key):
     if variant is not None:
         root_attrs["variant"] = variant
     audit = AuditLog() if ctx.audit else None
-    metrics = MetricsRegistry()
     try:
         with spans.span("post_run", **root_attrs) as root:
             # The trace is counted, not kept: every operation is
@@ -220,9 +236,6 @@ def run_post_task(ctx, key):
             with spans.span("materialize_image"):
                 for pool in memo_for(ctx.store).task_pools(fid, mask):
                     memory.map_pool(pool)
-            shadow = ctx.checkpoints[fid].fork_for_replay(
-                metrics.counter("shadow_transitions_total")
-            )
             if audit is not None:
                 shadow.audit = audit.scoped(
                     stage="post", failure_point=fid
@@ -318,20 +331,22 @@ def _shippable_error(exc):
 def warm_worker_main(conn, progress):
     """Body of one persistent warm-pool worker process.
 
-    Protocol (all over one duplex pipe, parent never sends to a busy
-    worker so this loop is always in ``recv`` when a message lands):
+    Protocol (all over one duplex pipe; the parent keeps at most two
+    batches in flight, so at most one small batch message waits in the
+    pipe while the worker runs the other):
 
     * ``("ctx", generation, blob)`` — adopt a new phase context:
       unpickle ``(context, func)``, attach any shared-memory store.
-    * ``("batch", keys, payload, attempts, submitted)`` — run the
-      batch, reply ``("done", shipped, stats)`` where ``shipped`` is
-      one ``("ok", value, queue_wait)`` or ``("err", exc)`` per key.
-      Before each key the worker stores its position in the shared
-      ``progress`` cell, so if the process dies the parent charges
-      exactly that key.
-    * ``("reset",)`` — drop all per-run state (context, attached shm
-      views, replay memo) but stay alive: the service fleet reuses
-      the pool for the next detection run.
+      Sent only to a worker with nothing in flight.
+    * ``("batch", keys, attempts, submitted)`` — run the batch, reply
+      ``("done", shipped, stats)`` where ``shipped`` is one
+      ``("ok", value, queue_wait)`` or ``("err", exc)`` per key.
+      Before each key the worker counts it into the shared
+      ``progress`` cell (keys started over the worker's life), so if
+      the process dies the parent charges exactly that key.
+    * ``("reset",)`` — drop all per-run state (context with its
+      shadow cursor, attached shm views, image memo) but stay alive:
+      the service fleet reuses the pool for the next detection run.
     * ``("stop",)`` — exit cleanly.
 
     The process also exits when the parent disappears (EOF on the pipe
@@ -343,6 +358,7 @@ def warm_worker_main(conn, progress):
     parent = os.getppid()
     ctx = func = None
     attach_ms = None
+    started_keys = 0
     while True:
         try:
             if not conn.poll(0.5):
@@ -375,17 +391,15 @@ def warm_worker_main(conn, progress):
             ctx, func = pickle.loads(blob)
             attach_ms = _attach_context(ctx)
             continue
-        _tag, keys, payload, attempts, submitted = message
+        _tag, keys, attempts, submitted = message
         shipped = []
         stats = {"attach_ms": attach_ms}
         attach_ms = None  # report the attach once, on its first batch
-        install = getattr(ctx, "install_payload", None)
-        if payload is not None and install is not None:
-            install(payload)
         if attempts:
             ctx.resilience.attempts.update(attempts)
-        for position, key in enumerate(keys):
-            progress.value = position
+        for key in keys:
+            started_keys += 1
+            progress.value = started_keys
             started = time.monotonic()
             try:
                 value = func(ctx, key)
@@ -393,8 +407,6 @@ def warm_worker_main(conn, progress):
                 shipped.append(("err", _shippable_error(exc)))
                 continue
             shipped.append(("ok", value, started - submitted))
-        if payload is not None and install is not None:
-            ctx.clear_payload()
         try:
             conn.send(("done", shipped, stats))
         except Exception:

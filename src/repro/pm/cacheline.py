@@ -96,9 +96,14 @@ class CacheModel:
         self.platform = platform
         self._states = {}  # line base -> LineState
         self._media = {}  # line base -> bytes (last persisted contents)
-        # Lines touched since the last completed fence; lets the fence
-        # know whether it completed any writeback (= ordering point).
+        # Lines queued for writeback since the last completed fence;
+        # lets the fence know whether it completed any writeback (=
+        # ordering point).  A superset of the WRITEBACK_PENDING lines: a
+        # line stored again after its flush stays in it.
         self._pending = set()
+        # Lines whose contents are not guaranteed persistent (MODIFIED
+        # or WRITEBACK_PENDING): the crash bits a snapshot enumerates.
+        self._volatile = set()
         # eADR: stores since the last fence (a fence ordering at least
         # one store is an ordering point there).
         self._stores_since_fence = False
@@ -119,6 +124,13 @@ class CacheModel:
     def line_states(self):
         """Snapshot of all non-UNMODIFIED line states (for tests)."""
         return dict(self._states)
+
+    def volatile_lines(self, start, end):
+        """Sorted bases of the MODIFIED or WRITEBACK_PENDING lines in
+        ``[start, end)``."""
+        return sorted(
+            line for line in self._volatile if start <= line < end
+        )
 
     def persisted_line(self, line_base):
         """Last persisted contents of a line, or None if it was never
@@ -165,6 +177,7 @@ class CacheModel:
         for line in AddressRange(address, size).lines():
             self._states[line] = LineState.MODIFIED
             self._touched.add(line)
+            self._volatile.add(line)
 
     def nt_store(self, address, size):
         """A non-temporal store: bypasses the cache into the write-
@@ -177,6 +190,7 @@ class CacheModel:
             self._states[line] = LineState.WRITEBACK_PENDING
             self._pending.add(line)
             self._touched.add(line)
+            self._volatile.add(line)
 
     def flush(self, address, kind=FlushKind.CLWB):
         """A writeback instruction on the line containing ``address``.
@@ -194,6 +208,7 @@ class CacheModel:
                 self._media[line] = bytes(self._read_line(line))
                 self._states[line] = LineState.PERSISTED
                 self._pending.discard(line)
+                self._volatile.discard(line)
                 self._touched.add(line)
             return useful
         if state is LineState.MODIFIED:
@@ -207,18 +222,22 @@ class CacheModel:
     def fence(self, kind=FenceKind.SFENCE):
         """An ordering fence: complete every pending writeback.
 
-        Returns the list of line base addresses whose writeback this
-        fence completed.  A non-empty list makes this fence an *ordering
-        point* in the detector's sense (paper Section 4.2).
+        Returns the sorted list of line base addresses whose writeback
+        this fence completed.  A non-empty list makes this fence an
+        *ordering point* in the detector's sense (paper Section 4.2).
         """
         self._stores_since_fence = False
         completed = []
-        for line, state in list(self._states.items()):
-            if state is LineState.WRITEBACK_PENDING:
+        states = self._states
+        # Only a line queued since the last fence can be pending; one
+        # stored again after its flush is MODIFIED and stays volatile.
+        for line in sorted(self._pending):
+            if states.get(line) is LineState.WRITEBACK_PENDING:
                 self._media[line] = bytes(self._read_line(line))
-                self._states[line] = LineState.PERSISTED
+                states[line] = LineState.PERSISTED
                 completed.append(line)
                 self._touched.add(line)
+                self._volatile.discard(line)
         self._pending.clear()
         return completed
 
@@ -242,6 +261,10 @@ class CacheModel:
         self._states = dict(states)
         self._media = dict(media)
         self._pending = set(pending)
+        self._volatile = {
+            line for line, state in self._states.items()
+            if state in (LineState.MODIFIED, LineState.WRITEBACK_PENDING)
+        }
         self._stores_since_fence = stores_since_fence
         self._touched.update(self._states)
         self._touched.update(self._media)
@@ -258,14 +281,29 @@ class CacheModel:
         contents — nothing volatile is outstanding for them.
         """
         out = bytearray(current)
-        window = AddressRange(base, size)
+        if size <= 0:
+            return bytes(out)
+        end = base + size
+        states = self._states
+        first = line_of(base)
+        count = (line_of(end - 1) - first) // CACHE_LINE_SIZE + 1
         # Only lines the model has seen can differ from the program
-        # view; iterating the tracked lines keeps snapshots O(dirty)
-        # instead of O(pool size).
-        for line, state in self._states.items():
+        # view.  A window of a few lines (the per-line delta capture)
+        # looks its own lines up; a whole-pool window walks the tracked
+        # lines instead, so either way the cost is O(min(window,
+        # dirty)), never O(pool size).
+        if count < len(states):
+            lines = range(first, first + count * CACHE_LINE_SIZE,
+                          CACHE_LINE_SIZE)
+            tracked = (
+                (line, states[line]) for line in lines if line in states
+            )
+        else:
+            tracked = states.items()
+        for line, state in tracked:
             if state is LineState.UNMODIFIED:
                 continue
-            if line + CACHE_LINE_SIZE <= base or line >= base + size:
+            if line + CACHE_LINE_SIZE <= base or line >= end:
                 continue
             media = self._media.get(line)
             if state is LineState.PERSISTED and media is None:
@@ -273,13 +311,7 @@ class CacheModel:
             replacement = media if media is not None else bytes(
                 CACHE_LINE_SIZE
             )
-            piece = window.intersection(
-                AddressRange(line, CACHE_LINE_SIZE)
-            )
-            if piece is None:
-                continue
-            for i in range(piece.size):
-                out[piece.start - base + i] = replacement[
-                    piece.start - line + i
-                ]
+            lo = max(line, base)
+            hi = min(line + CACHE_LINE_SIZE, end)
+            out[lo - base:hi - base] = replacement[lo - line:hi - line]
         return bytes(out)

@@ -88,14 +88,10 @@ class PMImage:
 def volatile_lines_for(pool, cache):
     """Offsets (from ``pool.base``) of lines whose contents were not
     guaranteed persistent under ``cache`` — the enumerable crash bits."""
-    from repro.pm.cacheline import LineState
-
-    return tuple(sorted(
+    return tuple(
         line - pool.base
-        for line, state in cache.line_states().items()
-        if state in (LineState.MODIFIED, LineState.WRITEBACK_PENDING)
-        and pool.base <= line < pool.end
-    ))
+        for line in cache.volatile_lines(pool.base, pool.end)
+    )
 
 
 def capture_image(pool, cache):

@@ -164,16 +164,36 @@ def read_journal_records(path):
     return header, posts
 
 
+#: Directory of the running ``repro`` package.  Journaled call sites
+#: inside it are stored relative to it, under :data:`_PACKAGE_MARK`,
+#: and resolved against the running package on load: ``Bug.dedup_key``
+#: compares filenames, so absolute ones would split a bug resumed from
+#: another checkout directory from the same bug found fresh.
+_PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_PACKAGE_MARK = "<repro>/"
+
+
 def _location_to_list(location):
     if location is UNKNOWN_LOCATION:
         return None
-    return [location.filename, location.lineno, location.function]
+    filename = location.filename
+    if filename.startswith(_PACKAGE_DIR + os.sep):
+        relative = os.path.relpath(filename, _PACKAGE_DIR)
+        filename = _PACKAGE_MARK + relative.replace(os.sep, "/")
+    return [filename, location.lineno, location.function]
 
 
 def _location_from_list(value):
     if value is None:
         return UNKNOWN_LOCATION
-    return _make_location(value[0], value[1], value[2])
+    filename = value[0]
+    if filename.startswith(_PACKAGE_MARK):
+        # Paths outside the package, and every path a journal written
+        # before package-relative paths holds, are absolute: as-is.
+        filename = os.path.join(
+            _PACKAGE_DIR, *filename[len(_PACKAGE_MARK):].split("/")
+        )
+    return _make_location(filename, value[1], value[2])
 
 
 def serialize_bug(bug):

@@ -8,8 +8,14 @@ mid-run kill, and (d) retry — not resurrect — quarantined points.
 """
 
 import json
+import os
+import shutil
+import subprocess
+import sys
 
 import pytest
+
+import repro
 
 from repro.core import DetectorConfig, XFDetector
 from repro.errors import (
@@ -127,6 +133,48 @@ class TestResume:
         headers = [r for r in records if r["type"] == "header"]
         assert len(headers) == 1
         assert len(records) == len(lines)
+
+
+class TestCheckoutMove:
+    def test_resume_from_another_checkout_keeps_unique_bugs(
+        self, tmp_path
+    ):
+        """A journal written with the package at one root and resumed
+        with it at another: journaled call sites resolve against the
+        running package, so a bug spliced from the journal and the
+        same bug found fresh are one unique bug, as in a fresh run."""
+        package = os.path.dirname(os.path.abspath(repro.__file__))
+        roots = []
+        for name in ("first", "second"):
+            root = tmp_path / name
+            shutil.copytree(
+                package, root / "repro",
+                ignore=shutil.ignore_patterns("__pycache__"),
+            )
+            roots.append(root)
+
+        def run(root, *extra):
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "run",
+                 "hashmap_atomic", "--fault", "skip_persist_count",
+                 "--test", "3", "--json", "--quiet", *extra],
+                cwd=tmp_path, capture_output=True, text=True,
+                env=dict(os.environ, PYTHONPATH=str(root)),
+            )
+            assert proc.returncode == 1, proc.stderr
+            return json.loads(proc.stdout)["bugs"]
+
+        journal = tmp_path / "first.ndjson"
+        run(roots[0], "--journal", str(journal))
+        # Keep the first half of the points: the rest run fresh from
+        # the second root, next to bugs spliced from the first.
+        lines = journal.read_text().splitlines(keepends=True)
+        journal.write_text("".join(lines[:len(lines) // 2]))
+        resumed = run(
+            roots[1], "--resume", str(journal),
+            "--journal", str(tmp_path / "second.ndjson"),
+        )
+        assert resumed == run(roots[1])
 
 
 class TestResumeRefusals:

@@ -1,10 +1,24 @@
 """Tests for the Figure 9 cache-line persistence state machine."""
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pm.cacheline import CacheModel, FenceKind, FlushKind, LineState
+from repro.pm.cacheline import (
+    CacheModel,
+    FenceKind,
+    FlushKind,
+    LineState,
+    PlatformMode,
+)
 from repro.pm.constants import CACHE_LINE_SIZE
+from repro.pm.image import volatile_lines_for
+from tests.unit.cacheline_ref import (
+    FullScanCacheModel,
+    full_scan_volatile_lines_for,
+)
 
 
 def make_model(backing=None):
@@ -196,3 +210,87 @@ def test_fsm_matches_reference_model(events):
                     reference[k] = "P"
         for k, v in reference.items():
             assert model.state_of(k * CACHE_LINE_SIZE).value == v
+
+
+# ----------------------------------------------------------------------
+# Differential: the line-scoped fence, overlay and volatile-line queries
+# against the full-scan versions in ``cacheline_ref``.
+# ----------------------------------------------------------------------
+
+_LINES = 12
+_FLUSHES = {
+    "clwb": FlushKind.CLWB,
+    "clflushopt": FlushKind.CLFLUSHOPT,
+    "clflush": FlushKind.CLFLUSH,
+}
+
+
+class _Pool:
+    def __init__(self, base, size):
+        self.base = base
+        self.size = size
+        self.end = base + size
+
+
+@pytest.mark.parametrize("platform", list(PlatformMode))
+@pytest.mark.parametrize("seed", range(20))
+def test_scoped_queries_match_full_scan(platform, seed):
+    rng = random.Random(seed)
+    memory = bytearray(_LINES * CACHE_LINE_SIZE)
+
+    def read_line(base):
+        return memory[base:base + CACHE_LINE_SIZE]
+
+    model = CacheModel(read_line, platform)
+    reference = FullScanCacheModel(read_line, platform)
+    pools = [
+        _Pool(0, len(memory)),
+        _Pool(2 * CACHE_LINE_SIZE, 5 * CACHE_LINE_SIZE),
+        _Pool(9 * CACHE_LINE_SIZE, 3 * CACHE_LINE_SIZE),
+    ]
+    snaps = None
+    for _step in range(300):
+        op = rng.choice((
+            "store", "store", "nt", "clwb", "clflushopt", "clflush",
+            "fence", "fence", "snapshot", "restore",
+        ))
+        address = rng.randrange(len(memory))
+        if op in ("store", "nt"):
+            size = rng.randint(1, min(96, len(memory) - address))
+            memory[address:address + size] = bytes(
+                rng.randrange(256) for _ in range(size)
+            )
+            for cache in (model, reference):
+                if op == "store":
+                    cache.store(address, size)
+                else:
+                    cache.nt_store(address, size)
+        elif op in _FLUSHES:
+            kind = _FLUSHES[op]
+            assert model.flush(address, kind) == \
+                reference.flush(address, kind)
+        elif op == "fence":
+            assert model.is_ordering_fence() == \
+                reference.is_ordering_fence()
+            assert model.fence() == sorted(reference.fence())
+        elif op == "snapshot":
+            snaps = (model.snapshot(), reference.snapshot())
+        elif snaps is not None:
+            model.restore(snaps[0])
+            reference.restore(snaps[1])
+        assert model.line_states() == reference.line_states()
+        assert model.has_pending_writebacks() == \
+            reference.has_pending_writebacks()
+        for pool in pools:
+            assert volatile_lines_for(pool, model) == \
+                full_scan_volatile_lines_for(pool, reference)
+        start = rng.randrange(len(memory))
+        windows = [
+            (0, len(memory)),
+            (rng.randrange(_LINES) * CACHE_LINE_SIZE, CACHE_LINE_SIZE),
+            (start, rng.randint(1, len(memory) - start)),
+        ]
+        for base, size in windows:
+            current = bytes(memory[base:base + size])
+            assert model.persisted_only_overlay(base, size, current) == \
+                reference.persisted_only_overlay(base, size, current)

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import os
+import time
 
 import pytest
 
@@ -75,6 +76,23 @@ def _die_on_three(_context, key):
 
 def _always_die(_context, _key):
     os._exit(7)
+
+
+def _die_on_one(_context, key):
+    """Die on key 1, late enough that every worker already holds a
+    second batch queued behind its first."""
+    if key == 1:
+        time.sleep(0.3)
+        os._exit(7)
+    return key * 2
+
+
+def _die_on_nine(_context, key):
+    """Die on key 9: the second key of its worker's second batch (at
+    batch size 4 on two workers), after batch 1 shipped."""
+    if key == 9:
+        os._exit(7)
+    return key * 2
 
 
 class Ctx:
@@ -224,6 +242,47 @@ class TestWarmProcessExecutor:
         assert all(
             o.error is None for i, o in enumerate(outcomes) if i != 3
         )
+
+    def test_death_with_a_batch_queued_charges_only_the_running_key(
+        self
+    ):
+        """Each worker holds two batches; the one dying on key 1 costs
+        key 1 alone, and the batch queued behind it runs uncharged on
+        a replacement."""
+        executor = WarmProcessExecutor(2, batch_size=4)
+        try:
+            outcomes = executor.run_phase(
+                None, _die_on_one, list(range(16))
+            )
+        finally:
+            executor.close()
+        assert [o.value for o in outcomes] == [
+            None if k == 1 else k * 2 for k in range(16)
+        ]
+        assert isinstance(
+            outcomes[1].error, concurrent.futures.BrokenExecutor
+        )
+        assert all(
+            o.error is None for i, o in enumerate(outcomes) if i != 1
+        )
+
+    def test_death_in_the_second_batch_keeps_the_first(self):
+        """A worker that ships batch 1 and then dies in batch 2 keeps
+        batch 1's outcomes and costs only the key it was running."""
+        executor = WarmProcessExecutor(2, batch_size=4)
+        try:
+            outcomes = executor.run_phase(
+                None, _die_on_nine, list(range(16))
+            )
+        finally:
+            executor.close()
+        assert [o.value for o in outcomes] == [
+            None if k == 9 else k * 2 for k in range(16)
+        ]
+        assert isinstance(
+            outcomes[9].error, concurrent.futures.BrokenExecutor
+        )
+        assert sum(o.error is not None for o in outcomes) == 1
 
     def test_phase_drains_when_every_worker_dies(self):
         """Deaths never strand a phase: each one charges one key and the

@@ -129,19 +129,6 @@ class TestIteration:
         rmap = RangeMap(default=0)
         assert list(rmap.iter_with_gaps(5, 8)) == [(5, 8, 0)]
 
-    def test_first_match(self):
-        rmap = RangeMap(default=0)
-        rmap.set(10, 20, 5)
-        assert rmap.first_match(0, 30, lambda v: v == 5) == (10, 20, 5)
-        assert rmap.first_match(0, 9, lambda v: v == 5) is None
-
-    def test_first_match_considers_gaps(self):
-        rmap = RangeMap(default="gap")
-        rmap.set(10, 20, "a")
-        assert rmap.first_match(
-            0, 30, lambda v: v == "gap"
-        ) == (0, 10, "gap")
-
 
 class TestUpdateAndClear:
     def test_update_transforms_values_and_gaps(self):
